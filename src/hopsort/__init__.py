@@ -28,14 +28,9 @@ from .datasets import (
     gen_shuffled,
 )
 from .engines import (
-    EQUAL,
-    GREATER,
-    LESS,
     ComparisonCounter,
     MergeEngine,
-    Ordering,
     SortStats,
-    compare3,
     merge_baseline,
     merge_hop,
     mergesort,
@@ -64,16 +59,12 @@ __all__ = [
     "ConfigError",
     "DatasetKind",
     "DatasetSpec",
-    "EQUAL",
     "ExperimentConfig",
     "ExperimentReport",
-    "GREATER",
     "HopError",
-    "LESS",
     "MergeEngine",
     "Node",
     "NotSortedError",
-    "Ordering",
     "ReportRow",
     "Rng64",
     "SortList",
@@ -81,7 +72,6 @@ __all__ = [
     "Verdict",
     "check_hop_valid",
     "check_sorted_stable",
-    "compare3",
     "dispose",
     "distinct_key_count",
     "from_keys",

@@ -13,7 +13,7 @@ import gc
 from dataclasses import dataclass, field
 
 from .costmodel import per_element, predicted_cost
-from .datasets import DatasetKind, Rng64, gen_kdistinct, gen_sawtooth, gen_shuffled
+from .datasets import DatasetKind, DatasetSpec, Rng64
 from .engines import MergeEngine, mergesort
 from .listcore import (
     check_hop_valid,
@@ -98,14 +98,6 @@ def _validate(config: ExperimentConfig) -> None:
         raise ConfigError("at least one engine is required")
 
 
-def _generate(kind: DatasetKind, n: int, k: int, seed: int) -> list[int]:
-    if kind is DatasetKind.SHUFFLED:
-        return gen_shuffled(n, seed)
-    if kind is DatasetKind.SAWTOOTH:
-        return gen_sawtooth(n, k)
-    return gen_kdistinct(n, k, seed)
-
-
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     _validate(config)
     rows: list[ReportRow] = []
@@ -124,7 +116,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
                 )
             counts: dict[MergeEngine, list[int]] = {eng: [] for eng in config.engines}
             for trial in range(trials):
-                keys = _generate(config.dataset, n, config.k, config.base_seed + trial)
+                spec = DatasetSpec(config.dataset, n, config.k, config.base_seed + trial)
+                keys = spec.generate()
                 for eng in config.engines:
                     lst, stats = mergesort(from_keys(keys), eng)
                     counts[eng].append(stats.comparisons)

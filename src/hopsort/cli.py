@@ -84,8 +84,11 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     report = run_experiment(config)
     table = render_report(report, args.format)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(table)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(table)
+        except OSError as exc:
+            raise ConfigError(f"--out: {exc}") from exc
     elif args.mode == "per-element":
         sys.stdout.write(render_per_element_view(report, args.format))
     else:

@@ -13,14 +13,19 @@ with no duplicate contact the two engines inspect the identical pair
 sequence and report identical totals.
 
 Stability: the baseline merge is stable on its own.  The hop merge favors
-the left side fragment-by-fragment, but once a maximal segment is covered
-by several fragments an equal-splice can land right-side nodes ahead of a
-later left-side fragment of the same key, and no splice order can repair
-that without inspecting keys the fragment walk never visits.  The driver
-therefore records every equality its merges prove anyway (head-selection
-ties and equal-splices) and, after the final fold, regroups each
-equal-key region by origin -- restoring input order for equal keys while
-leaving the comparison count untouched.
+the left side fragment-by-fragment, and every fragment is internally in
+origin order, because the left operand always covers earlier input
+positions.  The one place a merge leaves an equal-key fragment directly
+behind another without fusing the two is a head-selection tie; there an
+equal-splice later in the same merge can land right-side nodes ahead of a
+left-side fragment of the same key, and no splice order can repair that
+without inspecting keys the fragment walk never visits.  So a head tie
+marks the trailing fragment (``tie``).  Fragments are never split and two
+fragments of one run never fuse later, so a mark stays directly behind its
+equal-key region until the sort ends.  After the final fold the driver
+walks the chain by hop and reorders only the regions that carry marks --
+restoring input order for equal keys while leaving the comparison count
+untouched.
 """
 
 from __future__ import annotations
@@ -33,24 +38,13 @@ from typing import Callable, Sequence
 from .listcore import Node, SortList, from_keys, to_keys
 
 
-class Ordering(enum.IntEnum):
-    LESS = -1
-    EQUAL = 0
-    GREATER = 1
-
-
-LESS = Ordering.LESS
-EQUAL = Ordering.EQUAL
-GREATER = Ordering.GREATER
-
-
 class MergeEngine(enum.Enum):
     BASELINE = "baseline"
     HOP = "hop"
 
 
 class ComparisonCounter:
-    """Tally of three-way comparator invocations.  Never reset implicitly."""
+    """Tally of key-pair inspections.  Never reset implicitly."""
 
     __slots__ = ("invocations",)
 
@@ -68,16 +62,6 @@ class SortStats:
     comparisons: int
     merges: int
     max_stack_depth: int
-
-
-def compare3(a: int, b: int, counter: ComparisonCounter) -> Ordering:
-    """Three-way key comparison; exactly one counter bump per call."""
-    counter.invocations += 1
-    if a < b:
-        return LESS
-    if a > b:
-        return GREATER
-    return EQUAL
 
 
 def merge_baseline(a: Node | None, b: Node | None, counter: ComparisonCounter) -> Node | None:
@@ -112,13 +96,7 @@ def merge_baseline(a: Node | None, b: Node | None, counter: ComparisonCounter) -
     return head
 
 
-def merge_hop(
-    a: Node | None,
-    b: Node | None,
-    counter: ComparisonCounter,
-    *,
-    on_equal: Callable[[Node, Node], None] | None = None,
-) -> Node | None:
+def merge_hop(a: Node | None, b: Node | None, counter: ComparisonCounter) -> Node | None:
     """Merge two sorted chains advancing a whole hop fragment per inspection.
 
     On an equal pair the a-side fragment is emitted, the b-side fragment is
@@ -127,12 +105,8 @@ def merge_hop(
     steps over the combined run in one jump.  The head-selection step emits
     the winning fragment without looking across, which can leave a maximal
     segment covered by more than one fragment; that fragmentation is legal
-    and never repaired here.
-
-    ``on_equal`` is an observation hook: it is called with the two fragment
-    heads every time an inspection proves their keys equal (head-selection
-    ties included).  It must not relink anything; the driver uses it to
-    remember which nodes are known-equal without spending comparisons.
+    and never repaired here, but a head tie sets ``b.tie`` so the driver's
+    final pass knows where the segment may be out of origin order.
     """
     if a is None:
         return b
@@ -143,8 +117,8 @@ def merge_hop(
         head = b
         b = b.hop.next
     else:
-        if on_equal is not None and a.key == b.key:
-            on_equal(a, b)
+        if a.key == b.key:
+            b.tie = True
         head = a
         a = a.hop.next
     p = head.hop
@@ -165,8 +139,6 @@ def merge_hop(
         else:
             # equal: emit a's fragment, splice b's fragment behind it, and
             # fuse the two by extending a's fragment-head hop to b's end
-            if on_equal is not None:
-                on_equal(a, b)
             p.next = a
             ah = a.hop
             bh = b.hop
@@ -183,107 +155,78 @@ def merge_hop(
 _origin_of = operator.attrgetter("origin")
 
 
-def _find_root(parent: dict[int, int], i: int) -> int:
-    """Union-find root of ``i`` with full path compression."""
-    path = []
-    while True:
-        p = parent.get(i, i)
-        if p == i:
-            break
-        path.append(i)
-        i = p
-    for j in path:
-        parent[j] = i
-    return i
+def _regroup_equal_regions(head: Node) -> Node:
+    """Rebuild every multi-fragment equal-key region of ``head`` in origin order.
 
-
-def _regroup_equal_regions(head: Node, parent: dict[int, int]) -> Node:
-    """Rebuild every known-equal region of ``head`` in origin order.
-
-    ``parent`` is a union-find forest over node ids in which two nodes
-    share a root exactly when some earlier inspection proved their keys
-    equal.  Along a sorted chain such a group occupies one contiguous
-    region, so the chain is regrouped run-of-equal-roots by
-    run-of-equal-roots; each multi-node region is re-linked by ascending
-    origin and its hops are coalesced (first node hops to the last,
-    interiors to themselves).  No keys are inspected.
+    Walks the chain by hop, one step per fragment.  A fragment whose
+    successor carries no ``tie`` mark is left alone; a run of marked
+    successors is one equal-key region, which is re-linked by ascending
+    origin, coalesced (first node hops to the last, every other node to
+    itself) and unmarked.  No keys are inspected.
     """
-    out_head: Node | None = None
-    out_tail: Node | None = None
+    tail: Node | None = None  # last node of the chain rebuilt so far
     node: Node | None = head
     while node is not None:
-        root = _find_root(parent, id(node))
+        last = node.hop
+        nxt = last.next
+        if nxt is None or not nxt.tie:
+            tail = last
+            node = nxt
+            continue
+        while nxt is not None and nxt.tie:
+            last = nxt.hop
+            nxt = last.next
         region = [node]
-        node = node.next
-        while node is not None and _find_root(parent, id(node)) == root:
-            region.append(node)
+        while node is not last:
             node = node.next
-        if len(region) == 1:
-            first = last = region[0]
-            first.hop = first
+            region.append(node)
+        region.sort(key=_origin_of)
+        first = prev = region[0]
+        first.tie = False
+        for nd in region[1:]:
+            prev.next = nd
+            prev = nd
+            nd.hop = nd
+            nd.tie = False
+        first.hop = prev
+        prev.next = nxt
+        if tail is None:
+            head = first
         else:
-            region.sort(key=_origin_of)
-            first = region[0]
-            last = region[-1]
-            prev = first
-            for nd in region[1:]:
-                prev.next = nd
-                prev.hop = prev
-                prev = nd
-            first.hop = last
-            last.hop = last
-        if out_tail is None:
-            out_head = first
-        else:
-            out_tail.next = first
-        out_tail = last
-    out_tail.next = None
-    return out_head
+            tail.next = first
+        tail = prev
+        node = nxt
+    return head
 
 
 def mergesort(
     lst: SortList,
-    engine: MergeEngine,
+    engine: MergeEngine | str,
     counter: ComparisonCounter | None = None,
     on_push: Callable[[int, int], None] | None = None,
 ) -> tuple[SortList, SortStats]:
     """Sort ``lst`` in place (nodes are re-linked) and return (lst, stats).
 
-    ``counter`` may be shared across calls; the returned stats report only
-    this call's share.  ``on_push`` is a debug probe called as
-    ``on_push(pushed_so_far, stack_depth)`` right after each singleton push.
+    ``engine`` is coerced with ``MergeEngine(engine)``, so ``"hop"`` works
+    and an unknown name raises ValueError.  ``counter`` may be shared across
+    calls; the returned stats report only this call's share.  ``on_push`` is
+    a debug probe called as ``on_push(pushed_so_far, stack_depth)`` right
+    after each singleton push.
 
     Output is stable: equal keys appear in input (origin) order.  For the
-    hop engine this is finished by a final regrouping pass over the
-    equalities the merges proved, which also coalesces each equal-key
-    region to a single fragment (head hops to the region's last node); it
-    performs no key inspections, so reported comparison counts are pure
-    merge work.
+    hop engine this is finished by a final hop walk that reorders the
+    equal-key regions marked at head-selection ties, which also coalesces
+    each of them to a single fragment (head hops to the region's last
+    node); it performs no key inspections, so reported comparison counts
+    are pure merge work.
     """
+    hop = MergeEngine(engine) is MergeEngine.HOP
     if counter is None:
         counter = ComparisonCounter()
     node = lst.head
     if node is None or node.next is None:
         return lst, SortStats(0, 0, 0)
-    parent: dict[int, int] | None = None
-    if engine is MergeEngine.HOP:
-        # Nodes proven equal by a merge inspection are unioned; the final
-        # regrouping pass reads the groups back so stability costs no
-        # comparisons of its own.
-        parent = {}
-        local_parent = parent
-
-        def record_equal(x: Node, y: Node) -> None:
-            rx = _find_root(local_parent, id(x))
-            ry = _find_root(local_parent, id(y))
-            if rx != ry:
-                local_parent[ry] = rx
-
-        def merge(left: Node | None, right: Node | None, c: ComparisonCounter) -> Node | None:
-            return merge_hop(left, right, c, on_equal=record_equal)
-
-    else:
-        merge = merge_baseline
+    merge = merge_hop if hop else merge_baseline
     before = counter.invocations
     merges = 0
     deepest = 0
@@ -292,8 +235,10 @@ def mergesort(
     while node is not None:
         nxt = node.next
         node.next = None
-        # a detached singleton must not hop into the chain it came from
+        # a detached singleton must not hop into the chain it came from,
+        # nor carry a tie mark left by an earlier merge
         node.hop = node
+        node.tie = False
         bits = count
         while bits & 1:
             older = stack.pop()
@@ -313,16 +258,15 @@ def mergesort(
         older = stack.pop()
         node = merge(older, node, counter)
         merges += 1
-    if parent:
-        # ties favored the left (older) operand fragment-by-fragment, but a
-        # fragmented segment can still interleave; restore input order per
-        # equal-key region using the equalities the merges already proved
-        node = _regroup_equal_regions(node, parent)
+    if hop:
+        node = _regroup_equal_regions(node)
     lst.head = node
     return lst, SortStats(counter.invocations - before, merges, deepest)
 
 
-def sort_with_stats(keys: Sequence[int], engine: MergeEngine) -> tuple[list[int], SortStats]:
+def sort_with_stats(
+    keys: Sequence[int], engine: MergeEngine | str
+) -> tuple[list[int], SortStats]:
     """Convenience wrapper: build a list from ``keys``, sort, read keys back."""
     lst, stats = mergesort(from_keys(keys), engine)
     return to_keys(lst), stats

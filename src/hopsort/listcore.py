@@ -25,15 +25,20 @@ class NotSortedError(ValueError):
 
 
 class Node:
-    """List element: integer key, origin index, ``next`` link, ``hop`` link."""
+    """List element: integer key, origin index, ``next`` link, ``hop`` link.
 
-    __slots__ = ("key", "origin", "next", "hop")
+    ``tie`` marks a fragment head that a hop merge left directly behind an
+    equal-key fragment; the hop engine's final pass reads and clears it.
+    """
+
+    __slots__ = ("key", "origin", "next", "hop", "tie")
 
     def __init__(self, key: int, origin: int = 0):
         self.key = key
         self.origin = origin
         self.next: Node | None = None
         self.hop: Node = self
+        self.tie = False
 
     def __repr__(self) -> str:
         return f"Node(key={self.key!r}, origin={self.origin!r})"

@@ -229,6 +229,20 @@ def test_cli_budget_refusal_exits_2(capsys):
     assert "budget" in capsys.readouterr().err
 
 
+def test_cli_bench_unwritable_out_exits_2(tmp_path, capsys):
+    out = tmp_path / "missing" / "t.tsv"
+    rc = cli.main(
+        ["bench", "--dataset", "sawtooth", "--exp-min", "7", "--exp-max", "7",
+         "--out", str(out)]
+    )
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert str(out) in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_cli_unknown_dataset_is_an_argparse_error():
     with pytest.raises(SystemExit) as exc:
         cli.main(["bench", "--dataset", "zigzag"])

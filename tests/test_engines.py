@@ -8,14 +8,12 @@ import pytest
 
 import oracles
 from hopsort import (
-    EQUAL,
-    GREATER,
-    LESS,
     ComparisonCounter,
     MergeEngine,
+    Node,
+    SortList,
     check_hop_valid,
     check_sorted_stable,
-    compare3,
     distinct_key_count,
     from_keys,
     gen_kdistinct,
@@ -38,14 +36,6 @@ def chain_keys(head):
         out.append(head.key)
         head = head.next
     return out
-
-
-def test_compare3_verdicts_and_counting():
-    counter = ComparisonCounter()
-    assert compare3(1, 2, counter) is LESS
-    assert compare3(2, 1, counter) is GREATER
-    assert compare3(3, 3, counter) is EQUAL
-    assert counter.invocations == 3
 
 
 def test_merge_baseline_nil_guards_cost_nothing():
@@ -97,6 +87,8 @@ def test_merge_hop_absorbs_equal_singleton_in_one_comparison():
     # head selection emits the winning fragment without looking across, so
     # the three equal keys stay covered by two fragments
     assert first.hop is second
+    # the tie leaves b's fragment unfused behind a's, so it is marked
+    assert b.head.tie and not first.tie
     merged = type(a)(head, 3)
     assert len(hop_walk(merged)) == 2
     assert check_hop_valid(merged)
@@ -197,11 +189,14 @@ def test_sort_is_stable_on_duplicates():
 
 
 def test_hop_output_passes_full_audit():
-    keys = gen_kdistinct(512, 16, seed=11)
-    lst, _ = mergesort(from_keys(keys), HOP)
-    assert to_keys(lst) == sorted(keys)
-    assert check_hop_valid(lst)
-    assert distinct_key_count(lst) == len(set(keys))
+    for keys in (gen_kdistinct(512, 16, seed=11), gen_sawtooth(4096, 16)):
+        lst, _ = mergesort(from_keys(keys), HOP)
+        assert to_keys(lst) == sorted(keys)
+        assert check_sorted_stable(lst, keys)
+        assert check_hop_valid(lst)
+        assert distinct_key_count(lst) == len(set(keys))
+        # the final pass clears every head-tie mark it regrouped
+        assert not any(n.tie for n in lst.nodes())
 
 
 def test_resorting_a_sorted_list_with_coalesced_hops_is_safe():
@@ -221,3 +216,27 @@ def test_counts_match_array_oracle_on_mixed_input():
     _, hop_stats = sort_with_stats(keys, HOP)
     assert base_stats.comparisons == oracles.baseline_sort_count(keys)[1]
     assert hop_stats.comparisons == oracles.hop_sort_frags(keys)[1]
+
+
+def test_engine_names_are_coerced_or_rejected():
+    # "hop" must run the hop engine, not fall back to the baseline (7)
+    _, stats = sort_with_stats([2, 2, 1, 2, 1], "hop")
+    assert stats.comparisons == 6
+    with pytest.raises(ValueError):
+        sort_with_stats([2, 2, 1, 2, 1], "quick")
+    with pytest.raises(ValueError):
+        mergesort(from_keys([]), "quick")
+
+
+def test_driver_clears_stale_tie_marks():
+    # a node marked by an earlier head tie is reused in a fresh chain ahead of
+    # a smaller key; the driver must drop the mark, or the final pass would
+    # regroup 3 and 5 as one equal-key region and order them by origin
+    marked = from_keys([5]).head
+    merge_hop(from_keys([5]).head, marked, ComparisonCounter())
+    assert marked.tie
+    marked.next = Node(3, 1)
+    lst, _ = mergesort(SortList(marked, 2), HOP)
+    assert [(n.key, n.origin) for n in lst.nodes()] == [(3, 1), (5, 0)]
+    assert check_sorted_stable(lst, [5, 3])
+    assert check_hop_valid(lst)
