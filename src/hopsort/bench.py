@@ -1,4 +1,4 @@
-"""Experiment runner, verification sweep, and model table.
+"""Experiment runner, verification sweep, model table, and the table writer.
 
 Row protocol: n walks powers of two from 2**exp_min to 2**exp_max; shuffled
 and kdistinct rows average over ``trials`` seeded runs (seeds base_seed ..
@@ -12,7 +12,7 @@ from __future__ import annotations
 import gc
 from dataclasses import dataclass, field
 
-from .costmodel import per_element, predicted_cost
+from .costmodel import predicted_cost
 from .datasets import DatasetKind, DatasetSpec, Rng64
 from .engines import MergeEngine, mergesort
 from .listcore import (
@@ -28,7 +28,8 @@ from .listcore import (
 # node churn and the wall time a row may cost before the user must opt in
 DEFAULT_BUDGET = 1 << 25
 
-REPORT_HEADER = (
+# the three table views, one column tuple each; render_table writes any of them
+REPORT_COLUMNS = (
     "n",
     "dataset",
     "k",
@@ -39,16 +40,29 @@ REPORT_HEADER = (
     "per_element_mean",
     "predicted",
 )
-
-MODEL_HEADER = ("n", "k", "predicted", "predicted_per_element")
+PER_ELEMENT_COLUMNS = ("n", "dataset", "k", "engine", "per_element_mean", "predicted_per_element")
+MODEL_COLUMNS = ("n", "k", "predicted", "predicted_per_element")
 
 
 class ConfigError(ValueError):
     """Invalid or refused run configuration."""
 
 
+def _check_range(exp_min: int, exp_max: int, k: int) -> None:
+    """The exponent and k check shared by sweeps and the model table."""
+    if not 0 <= exp_min <= exp_max:
+        raise ConfigError(f"need 0 <= exp_min <= exp_max, got {exp_min}..{exp_max}")
+    if exp_max > 30:
+        raise ConfigError(f"exp_max {exp_max} is past any sane in-memory run")
+    if k < 1:
+        raise ConfigError(f"k must be >= 1, got {k}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """A sweep configuration; construction raises ConfigError for an invalid
+    or over-budget one, so no sweep can start on it."""
+
     dataset: DatasetKind
     exp_min: int
     exp_max: int
@@ -58,9 +72,38 @@ class ExperimentConfig:
     engines: tuple[MergeEngine, ...] = (MergeEngine.BASELINE, MergeEngine.HOP)
     budget: int = DEFAULT_BUDGET
 
+    def __post_init__(self) -> None:
+        _check_range(self.exp_min, self.exp_max, self.k)
+        if self.trials < 1:
+            raise ConfigError(f"trials must be >= 1, got {self.trials}")
+        if self.budget < 1:
+            raise ConfigError(f"budget must be >= 1, got {self.budget}")
+        if not self.engines:
+            raise ConfigError("at least one engine is required")
+        for exp in range(self.exp_min, self.exp_max + 1):
+            cost = (1 << exp) * self.row_trials
+            if cost > self.budget:
+                raise ConfigError(
+                    f"refusing row n=2^{exp}: n*trials = {cost} exceeds the "
+                    f"budget of {self.budget}; raise --budget to opt in"
+                )
+
+    @property
+    def row_trials(self) -> int:
+        """Trials per row: sawtooth is seedless, so it runs once."""
+        return 1 if self.dataset is DatasetKind.SAWTOOTH else self.trials
+
+
+class _Row:
+    """Base of the table rows: derives the per-element prediction column."""
+
+    @property
+    def predicted_per_element(self) -> float:
+        return self.predicted / self.n
+
 
 @dataclass(frozen=True)
-class ReportRow:
+class ReportRow(_Row):
     n: int
     dataset: str
     k: int
@@ -81,25 +124,7 @@ class ExperimentReport:
     samples: dict[tuple[int, str], list[int]] = field(default_factory=dict)
 
 
-def _validate(config: ExperimentConfig) -> None:
-    if not 0 <= config.exp_min <= config.exp_max:
-        raise ConfigError(
-            f"need 0 <= exp_min <= exp_max, got {config.exp_min}..{config.exp_max}"
-        )
-    if config.exp_max > 30:
-        raise ConfigError(f"exp_max {config.exp_max} is past any sane in-memory run")
-    if config.k < 1:
-        raise ConfigError(f"k must be >= 1, got {config.k}")
-    if config.trials < 1:
-        raise ConfigError(f"trials must be >= 1, got {config.trials}")
-    if config.budget < 1:
-        raise ConfigError(f"budget must be >= 1, got {config.budget}")
-    if not config.engines:
-        raise ConfigError("at least one engine is required")
-
-
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
-    _validate(config)
     rows: list[ReportRow] = []
     notes: list[str] = []
     samples: dict[tuple[int, str], list[int]] = {}
@@ -108,14 +133,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     try:
         for exp in range(config.exp_min, config.exp_max + 1):
             n = 1 << exp
-            trials = 1 if config.dataset is DatasetKind.SAWTOOTH else config.trials
-            if n * trials > config.budget:
-                raise ConfigError(
-                    f"refusing row n=2^{exp}: n*trials = {n * trials} exceeds the "
-                    f"budget of {config.budget}; raise --budget to opt in"
-                )
             counts: dict[MergeEngine, list[int]] = {eng: [] for eng in config.engines}
-            for trial in range(trials):
+            for trial in range(config.row_trials):
                 spec = DatasetSpec(config.dataset, n, config.k, config.base_seed + trial)
                 keys = spec.generate()
                 for eng in config.engines:
@@ -135,7 +154,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
                         comparisons_mean=mean,
                         comparisons_min=min(vals),
                         comparisons_max=max(vals),
-                        per_element_mean=per_element(mean, n),
+                        per_element_mean=mean / n,
                         predicted=predicted_cost(n, k_eff),
                     )
                 )
@@ -157,53 +176,23 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     return ExperimentReport(rows=rows, notes=notes, samples=samples)
 
 
-def _decimal(x: float) -> str:
-    """Plain decimal: integral floats lose the .0, others keep shortest repr."""
-    if x == int(x):
-        return str(int(x))
-    return repr(x)
+def _cell(column: str, value) -> str:
+    if "per_element" in column:
+        return f"{value:.5f}"
+    if column in ("comparisons_mean", "predicted") and value == int(value):
+        return str(int(value))  # plain decimal: an integral mean or prediction loses the .0
+    return str(value)
 
 
-def render_report(report: ExperimentReport, fmt: str = "tsv") -> str:
-    """Canonical table: fixed header, per-element to exactly 5 decimals."""
+def render_table(rows: list, columns: tuple[str, ...], fmt: str = "tsv") -> str:
+    """The one table writer: a header of ``columns``, then one line per row.
+
+    ``fmt`` is ``tsv`` or ``csv``.  Means and predictions print as plain
+    decimals, every per-element column to exactly 5 decimals.
+    """
     sep = "\t" if fmt == "tsv" else ","
-    lines = [sep.join(REPORT_HEADER)]
-    for r in report.rows:
-        lines.append(
-            sep.join(
-                (
-                    str(r.n),
-                    r.dataset,
-                    str(r.k),
-                    r.engine,
-                    _decimal(r.comparisons_mean),
-                    str(r.comparisons_min),
-                    str(r.comparisons_max),
-                    f"{r.per_element_mean:.5f}",
-                    _decimal(r.predicted),
-                )
-            )
-        )
-    return "\n".join(lines) + "\n"
-
-
-def render_per_element_view(report: ExperimentReport, fmt: str = "tsv") -> str:
-    """Compact stdout view for --mode per-element."""
-    sep = "\t" if fmt == "tsv" else ","
-    lines = [sep.join(("n", "dataset", "k", "engine", "per_element_mean", "predicted_per_element"))]
-    for r in report.rows:
-        lines.append(
-            sep.join(
-                (
-                    str(r.n),
-                    r.dataset,
-                    str(r.k),
-                    r.engine,
-                    f"{r.per_element_mean:.5f}",
-                    f"{r.predicted / r.n:.5f}",
-                )
-            )
-        )
+    lines = [sep.join(columns)]
+    lines += [sep.join(_cell(c, getattr(r, c)) for c in columns) for r in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -292,7 +281,7 @@ def run_verify(trials: int, max_n: int, max_key: int, base_seed: int) -> VerifyS
 
 
 @dataclass(frozen=True)
-class ModelRow:
+class ModelRow(_Row):
     n: int
     k: int
     predicted: float
@@ -300,23 +289,10 @@ class ModelRow:
 
 def run_model(k: int, exp_min: int, exp_max: int) -> list[ModelRow]:
     """Model table rows; k is capped at n per row (all-distinct behavior)."""
-    if k < 1:
-        raise ConfigError(f"k must be >= 1, got {k}")
-    if not 0 <= exp_min <= exp_max:
-        raise ConfigError(f"need 0 <= exp_min <= exp_max, got {exp_min}..{exp_max}")
+    _check_range(exp_min, exp_max, k)
     rows = []
     for exp in range(exp_min, exp_max + 1):
         n = 1 << exp
         k_eff = min(k, n)
         rows.append(ModelRow(n=n, k=k_eff, predicted=predicted_cost(n, k_eff)))
     return rows
-
-
-def render_model(rows: list[ModelRow], fmt: str = "tsv") -> str:
-    sep = "\t" if fmt == "tsv" else ","
-    lines = [sep.join(MODEL_HEADER)]
-    for r in rows:
-        lines.append(
-            sep.join((str(r.n), str(r.k), _decimal(r.predicted), f"{r.predicted / r.n:.5f}"))
-        )
-    return "\n".join(lines) + "\n"

@@ -7,15 +7,17 @@ invalid or refused configuration.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 
 from .bench import (
     DEFAULT_BUDGET,
+    MODEL_COLUMNS,
+    PER_ELEMENT_COLUMNS,
+    REPORT_COLUMNS,
     ConfigError,
     ExperimentConfig,
-    render_model,
-    render_per_element_view,
-    render_report,
+    render_table,
     run_experiment,
     run_model,
     run_verify,
@@ -70,6 +72,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _open_out(path: str | None):
+    """The table's destination, opened before the sweep so a bad path costs no sort."""
+    if not path:
+        return contextlib.nullcontext(sys.stdout)
+    try:
+        return open(path, "w")
+    except OSError as exc:
+        raise ConfigError(f"--out: {exc}") from exc
+
+
 def _cmd_bench(args: argparse.Namespace) -> int:
     config = ExperimentConfig(
         dataset=DatasetKind(args.dataset),
@@ -81,18 +93,12 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         engines=_ENGINES[args.engine],
         budget=args.budget,
     )
-    report = run_experiment(config)
-    table = render_report(report, args.format)
-    if args.out:
-        try:
-            with open(args.out, "w") as fh:
-                fh.write(table)
-        except OSError as exc:
-            raise ConfigError(f"--out: {exc}") from exc
-    elif args.mode == "per-element":
-        sys.stdout.write(render_per_element_view(report, args.format))
-    else:
-        sys.stdout.write(table)
+    # a file always gets the canonical table; --mode only picks the stdout view
+    per_element = args.mode == "per-element" and not args.out
+    columns = PER_ELEMENT_COLUMNS if per_element else REPORT_COLUMNS
+    with _open_out(args.out) as out:
+        report = run_experiment(config)
+        out.write(render_table(report.rows, columns, args.format))
     for note in report.notes:
         print(note, file=sys.stderr)
     return 0
@@ -111,7 +117,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_model(args: argparse.Namespace) -> int:
     rows = run_model(args.k, args.exp_min, args.exp_max)
-    sys.stdout.write(render_model(rows, args.format))
+    sys.stdout.write(render_table(rows, MODEL_COLUMNS, args.format))
     return 0
 
 

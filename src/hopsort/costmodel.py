@@ -25,9 +25,3 @@ def predicted_cost(n: int, k: int) -> float:
         return n + n * math.log2(n)
     return 2 * n + n * math.log2(k) - k
 
-
-def per_element(total: float, n: int) -> float:
-    """Average work or comparisons per element; table output prints 5 decimals."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    return total / n

@@ -12,13 +12,9 @@ import time
 
 import pytest
 
-from hopsort import (
-    DatasetKind,
-    ExperimentConfig,
-    MergeEngine,
-    run_experiment,
-    run_verify,
-)
+from hopsort import MergeEngine
+from hopsort.bench import ExperimentConfig, run_experiment, run_verify
+from hopsort.datasets import DatasetKind
 
 BOTH = (MergeEngine.BASELINE, MergeEngine.HOP)
 

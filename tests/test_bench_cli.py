@@ -2,20 +2,20 @@
 
 import pytest
 
-from hopsort import (
+from hopsort import MergeEngine, bench, cli
+from hopsort.bench import (
+    MODEL_COLUMNS,
+    PER_ELEMENT_COLUMNS,
+    REPORT_COLUMNS,
     ConfigError,
-    DatasetKind,
     ExperimentConfig,
-    MergeEngine,
     VerifySummary,
-    render_model,
-    render_report,
+    render_table,
     run_experiment,
     run_model,
     run_verify,
 )
-from hopsort.bench import render_per_element_view
-from hopsort import cli
+from hopsort.datasets import DatasetKind
 
 BASELINE_ONLY = (MergeEngine.BASELINE,)
 
@@ -72,11 +72,22 @@ def test_run_experiment_emits_the_2048_note():
 
 
 def test_run_experiment_budget_refusal():
-    config = ExperimentConfig(
-        dataset=DatasetKind.SHUFFLED, exp_min=13, exp_max=13, trials=100_000
-    )
     with pytest.raises(ConfigError, match="budget"):
-        run_experiment(config)
+        ExperimentConfig(dataset=DatasetKind.SHUFFLED, exp_min=13, exp_max=13, trials=100_000)
+
+
+def test_budget_refusal_comes_before_any_sort(monkeypatch):
+    def no_sort(*args, **kwargs):
+        raise AssertionError("sorted a row of a refused sweep")
+
+    monkeypatch.setattr(bench, "mergesort", no_sort)
+    # rows 2^7..2^11 fit the budget, 2^12 does not: the whole sweep is refused up front
+    with pytest.raises(ConfigError, match=r"n=2\^12: .* budget"):
+        run_experiment(
+            ExperimentConfig(
+                dataset=DatasetKind.SHUFFLED, exp_min=7, exp_max=12, trials=200, budget=500_000
+            )
+        )
 
 
 @pytest.mark.parametrize(
@@ -97,7 +108,7 @@ def test_run_experiment_rejects_bad_config(kw):
 
 def test_render_report_tsv_shape():
     report = run_experiment(sawtooth_config(exp_max=7))
-    text = render_report(report, "tsv")
+    text = render_table(report.rows, REPORT_COLUMNS, "tsv")
     lines = text.splitlines()
     assert lines[0] == (
         "n\tdataset\tk\tengine\tcomparisons_mean\tcomparisons_min\tcomparisons_max"
@@ -114,21 +125,30 @@ def test_render_report_tsv_shape():
 
 def test_render_report_csv_swaps_separator():
     report = run_experiment(sawtooth_config(exp_max=7))
-    assert render_report(report, "csv").splitlines()[1].startswith("128,sawtooth,")
+    assert render_table(report.rows, REPORT_COLUMNS, "csv").splitlines()[1].startswith(
+        "128,sawtooth,"
+    )
 
 
 def test_report_is_byte_deterministic():
     config = ExperimentConfig(dataset=DatasetKind.KDISTINCT, exp_min=7, exp_max=9, k=16, trials=4)
-    first = render_report(run_experiment(config))
-    second = render_report(run_experiment(config))
+    first = render_table(run_experiment(config).rows, REPORT_COLUMNS)
+    second = render_table(run_experiment(config).rows, REPORT_COLUMNS)
     assert first == second
 
 
 def test_per_element_view():
     report = run_experiment(sawtooth_config(exp_max=7))
-    lines = render_per_element_view(report).splitlines()
+    lines = render_table(report.rows, PER_ELEMENT_COLUMNS).splitlines()
     assert lines[0] == "n\tdataset\tk\tengine\tper_element_mean\tpredicted_per_element"
     assert lines[1] == "128\tsawtooth\t128\tbaseline\t3.50000\t8.00000"
+    # the two reference cells that need rounding, 11265/2048 and 65524/8192
+    report = run_experiment(
+        ExperimentConfig(dataset=DatasetKind.SAWTOOTH, exp_min=11, exp_max=13, k=1024)
+    )
+    lines = render_table(report.rows, PER_ELEMENT_COLUMNS).splitlines()
+    assert "2048\tsawtooth\t1024\thop\t5.50049\t11.50000" in lines
+    assert "8192\tsawtooth\t1024\tbaseline\t7.99854\t11.87500" in lines
 
 
 def test_run_verify_small_sweep_passes():
@@ -156,7 +176,7 @@ def test_run_verify_rejects_bad_arguments():
 def test_run_model_rows():
     rows = run_model(k=4, exp_min=2, exp_max=4)
     assert [(r.n, r.k, r.predicted) for r in rows] == [(4, 4, 12.0), (8, 4, 28.0), (16, 4, 60.0)]
-    text = render_model(rows)
+    text = render_table(rows, MODEL_COLUMNS)
     assert text.splitlines()[0] == "n\tk\tpredicted\tpredicted_per_element"
     assert text.splitlines()[3] == "16\t4\t60\t3.75000"
 
@@ -229,7 +249,23 @@ def test_cli_budget_refusal_exits_2(capsys):
     assert "budget" in capsys.readouterr().err
 
 
-def test_cli_bench_unwritable_out_exits_2(tmp_path, capsys):
+def test_cli_budget_refusal_keeps_existing_out_file(tmp_path, capsys):
+    out = tmp_path / "t.tsv"
+    out.write_bytes(b"earlier table\n")
+    rc = cli.main(
+        ["bench", "--dataset", "shuffled", "--exp-min", "7", "--exp-max", "12",
+         "--trials", "200", "--budget", "500000", "--out", str(out)]
+    )
+    assert rc == 2
+    assert "budget" in capsys.readouterr().err
+    assert out.read_bytes() == b"earlier table\n"
+
+
+def test_cli_bench_unwritable_out_exits_2(monkeypatch, tmp_path, capsys):
+    def no_sweep(config):
+        raise AssertionError("ran the sweep before checking --out")
+
+    monkeypatch.setattr(cli, "run_experiment", no_sweep)
     out = tmp_path / "missing" / "t.tsv"
     rc = cli.main(
         ["bench", "--dataset", "sawtooth", "--exp-min", "7", "--exp-max", "7",
@@ -269,3 +305,11 @@ def test_cli_model_output(capsys):
     rc = cli.main(["model", "--k", "4", "--exp-min", "4", "--exp-max", "4"])
     assert rc == 0
     assert capsys.readouterr().out.splitlines()[1] == "16\t4\t60\t3.75000"
+
+
+def test_cli_model_rejects_exponent_past_the_limit(capsys):
+    rc = cli.main(["model", "--k", "4", "--exp-min", "1030", "--exp-max", "1030"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: exp_max 1030")
+    assert captured.out == ""

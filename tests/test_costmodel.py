@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from hopsort import per_element, predicted_cost
+from hopsort.costmodel import predicted_cost
 
 
 def test_all_distinct_branch():
@@ -34,14 +34,7 @@ def test_doubling_identity_in_the_duplicated_regime():
 
 def test_plateau_prediction_per_element():
     # with k fixed, per-element work settles near 2 + log2(k)
-    assert per_element(predicted_cost(2**20, 1024), 2**20) == 11.9990234375
-
-
-def test_per_element_values_and_formatting():
-    assert per_element(0, 5) == 0.0
-    assert per_element(11265, 2048) == 5.50048828125
-    assert f"{per_element(11265, 2048):.5f}" == "5.50049"
-    assert f"{per_element(65524, 8192):.5f}" == "7.99854"
+    assert predicted_cost(2**20, 1024) / 2**20 == 11.9990234375
 
 
 def test_rejections():
@@ -51,5 +44,3 @@ def test_rejections():
         predicted_cost(8, 0)
     with pytest.raises(ValueError):
         predicted_cost(8, 9)
-    with pytest.raises(ValueError):
-        per_element(10, 0)

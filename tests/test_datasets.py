@@ -5,7 +5,14 @@ from collections import Counter
 import pytest
 
 import oracles
-from hopsort import DatasetKind, DatasetSpec, Rng64, gen_kdistinct, gen_sawtooth, gen_shuffled
+from hopsort.datasets import (
+    DatasetKind,
+    DatasetSpec,
+    Rng64,
+    gen_kdistinct,
+    gen_sawtooth,
+    gen_shuffled,
+)
 
 
 def test_rng_matches_published_stream_for_seed_zero():

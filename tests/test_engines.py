@@ -10,14 +10,11 @@ import oracles
 from hopsort import (
     ComparisonCounter,
     MergeEngine,
-    Node,
     SortList,
     check_hop_valid,
     check_sorted_stable,
     distinct_key_count,
     from_keys,
-    gen_kdistinct,
-    gen_sawtooth,
     hop_walk,
     merge_baseline,
     merge_hop,
@@ -25,6 +22,8 @@ from hopsort import (
     sort_with_stats,
     to_keys,
 )
+from hopsort.datasets import gen_kdistinct, gen_sawtooth
+from hopsort.listcore import Node
 
 BASELINE = MergeEngine.BASELINE
 HOP = MergeEngine.HOP

@@ -7,14 +7,13 @@ from hopsort import (
     NotSortedError,
     check_hop_valid,
     check_sorted_stable,
-    dispose,
     distinct_key_count,
     from_keys,
     hop_walk,
     normalize_hops,
     to_keys,
 )
-from hopsort.listcore import Node, SortList
+from hopsort.listcore import Node, SortList, dispose
 
 
 def nodes_of(lst):
