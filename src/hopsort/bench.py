@@ -61,18 +61,27 @@ def _check_range(exp_min: int, exp_max: int, k: int) -> None:
 @dataclass(frozen=True)
 class ExperimentConfig:
     """A sweep configuration; construction raises ConfigError for an invalid
-    or over-budget one, so no sweep can start on it."""
+    or over-budget one, so no sweep can start on it.  ``dataset`` and each
+    engine may be given by name ("sawtooth", "hop") and are coerced to their
+    enums."""
 
-    dataset: DatasetKind
+    dataset: DatasetKind | str
     exp_min: int
     exp_max: int
     k: int = 1024
     trials: int = 100
     base_seed: int = 1
-    engines: tuple[MergeEngine, ...] = (MergeEngine.BASELINE, MergeEngine.HOP)
+    engines: tuple[MergeEngine | str, ...] = (MergeEngine.BASELINE, MergeEngine.HOP)
     budget: int = DEFAULT_BUDGET
 
     def __post_init__(self) -> None:
+        try:
+            dataset = DatasetKind(self.dataset)
+            engines = tuple(MergeEngine(e) for e in self.engines)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+        object.__setattr__(self, "dataset", dataset)
+        object.__setattr__(self, "engines", engines)
         _check_range(self.exp_min, self.exp_max, self.k)
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")

@@ -6,11 +6,13 @@ push count decides how many merges precede the push -- one merge per low
 1-bit, so the stack never holds more than one run per bit.  The popped
 (older) run is always the left merge operand and ties take the left node.
 
-Comparison counting: one counter bump per key pair inspected while both
-sides are nonempty.  A single <= verdict (baseline) and a full
-less/equal/greater verdict (hop) both cost exactly one bump, so on inputs
-with no duplicate contact the two engines inspect the identical pair
-sequence and report identical totals.
+Comparison counting: one count per key pair inspected while both sides are
+nonempty.  A single <= verdict (baseline) and a full less/equal/greater
+verdict (hop) both cost exactly one count, so on inputs with no duplicate
+contact the two engines inspect the identical pair sequence and report
+identical totals.  Each merge keeps its tally in a local and adds it to the
+``ComparisonCounter`` when it returns, so a key comparison that raises
+mid-merge leaves that merge's partial tally uncounted.
 
 Stability: the baseline merge is stable on its own.  The hop merge favors
 the left side fragment-by-fragment, and every fragment is internally in
@@ -57,7 +59,11 @@ class ComparisonCounter:
 
 @dataclass(frozen=True)
 class SortStats:
-    """Instrumentation for one sort call."""
+    """Instrumentation for one sort call.
+
+    ``max_stack_depth`` is the largest popcount of the push count: after
+    push c the stack holds one run per 1-bit of c.
+    """
 
     comparisons: int
     merges: int
@@ -69,30 +75,41 @@ def merge_baseline(a: Node | None, b: Node | None, counter: ComparisonCounter) -
 
     Ties take from ``a``.  Hop links are left untouched.  Once either side
     runs out the rest of the other is appended without further inspections.
+    The merge's inspections are added to ``counter`` when it returns.
     """
     if a is None:
         return b
     if b is None:
         return a
-    counter.invocations += 1
     if a.key <= b.key:
-        head = a
+        head = p = a
         a = a.next
     else:
-        head = b
+        head = p = b
         b = b.next
-    p = head
-    while a is not None and b is not None:
-        counter.invocations += 1
-        if a.key <= b.key:
-            p.next = a
-            p = a
-            a = a.next
-        else:
-            p.next = b
-            p = b
-            b = b.next
+    n = 1
+    if a is not None and b is not None:
+        ak = a.key
+        bk = b.key
+        # only the side that advanced can have run out or changed its key
+        while True:
+            n += 1
+            if ak <= bk:
+                p.next = a
+                p = a
+                a = a.next
+                if a is None:
+                    break
+                ak = a.key
+            else:
+                p.next = b
+                p = b
+                b = b.next
+                if b is None:
+                    break
+                bk = b.key
     p.next = b if a is None else a
+    counter.invocations += n
     return head
 
 
@@ -112,43 +129,54 @@ def merge_hop(a: Node | None, b: Node | None, counter: ComparisonCounter) -> Nod
         return b
     if b is None:
         return a
-    counter.invocations += 1
-    if a.key > b.key:
+    ak = a.key
+    bk = b.key
+    if ak > bk:
         head = b
         b = b.hop.next
     else:
-        if a.key == b.key:
+        if ak == bk:
             b.tie = True
         head = a
         a = a.hop.next
     p = head.hop
-    while a is not None and b is not None:
-        counter.invocations += 1
+    n = 1
+    if a is not None and b is not None:
         ak = a.key
         bk = b.key
-        if ak < bk:
-            p.next = a
-            ah = a.hop
-            p = ah
-            a = ah.next
-        elif ak > bk:
-            p.next = b
-            bh = b.hop
-            p = bh
-            b = bh.next
-        else:
-            # equal: emit a's fragment, splice b's fragment behind it, and
-            # fuse the two by extending a's fragment-head hop to b's end
-            p.next = a
-            ah = a.hop
-            bh = b.hop
-            p = bh
-            nxt = ah.next
-            ah.next = b
-            a.hop = bh
-            a = nxt
-            b = bh.next
+        while True:
+            n += 1
+            if ak < bk:
+                p.next = a
+                p = a.hop
+                a = p.next
+                if a is None:
+                    break
+                ak = a.key
+            elif ak > bk:
+                p.next = b
+                p = b.hop
+                b = p.next
+                if b is None:
+                    break
+                bk = b.key
+            else:
+                # equal: emit a's fragment, splice b's fragment behind it, and
+                # fuse the two by extending a's fragment-head hop to b's end
+                p.next = a
+                ah = a.hop
+                p = b.hop
+                nxt = ah.next
+                ah.next = b
+                a.hop = p
+                a = nxt
+                b = p.next
+                if a is None or b is None:
+                    break
+                ak = a.key
+                bk = b.key
     p.next = b if a is None else a
+    counter.invocations += n
     return head
 
 
@@ -213,6 +241,10 @@ def mergesort(
     a debug probe called as ``on_push(pushed_so_far, stack_depth)`` right
     after each singleton push.
 
+    Keys must be totally ordered (``int``, say); they are not checked, and
+    a key outside a total order such as NaN makes the output order
+    engine-dependent.
+
     Output is stable: equal keys appear in input (origin) order.  For the
     hop engine this is finished by a final hop walk that reorders the
     equal-key regions marked at head-selection ties, which also coalesces
@@ -228,8 +260,6 @@ def mergesort(
         return lst, SortStats(0, 0, 0)
     merge = merge_hop if hop else merge_baseline
     before = counter.invocations
-    merges = 0
-    deepest = 0
     stack: list[Node] = []
     count = 0
     while node is not None:
@@ -241,27 +271,24 @@ def mergesort(
         node.tie = False
         bits = count
         while bits & 1:
-            older = stack.pop()
-            node = merge(older, node, counter)
-            merges += 1
+            node = merge(stack.pop(), node, counter)
             bits >>= 1
         stack.append(node)
         count += 1
-        depth = len(stack)
-        if depth > deepest:
-            deepest = depth
         if on_push is not None:
-            on_push(count, depth)
+            on_push(count, len(stack))
         node = nxt
     node = stack.pop()
     while stack:
-        older = stack.pop()
-        node = merge(older, node, counter)
-        merges += 1
+        node = merge(stack.pop(), node, counter)
     if hop:
         node = _regroup_equal_regions(node)
     lst.head = node
-    return lst, SortStats(counter.invocations - before, merges, deepest)
+    # every merge joins two runs, and the stack after push c holds one run
+    # per 1-bit of c, so it is deepest at the largest popcount up to count
+    return lst, SortStats(
+        counter.invocations - before, count - 1, (count + 1).bit_length() - 1
+    )
 
 
 def sort_with_stats(

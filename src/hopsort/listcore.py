@@ -86,7 +86,9 @@ def from_keys(keys: Sequence[int]) -> SortList:
     """Build a list whose i-th node has key ``keys[i]`` and origin ``i``.
 
     Runs are never pre-scanned: every node starts with ``hop`` pointing at
-    itself, and equal-key runs only coalesce later, during merges.
+    itself, and equal-key runs only coalesce later, during merges.  Keys
+    must be totally ordered (``int``, say) for the sort to be meaningful;
+    they are not checked, since a check would cost every build.
     """
     head: Node | None = None
     prev: Node | None = None

@@ -55,6 +55,22 @@ def test_run_experiment_shuffled_k_column_is_n():
     assert row.dataset == "shuffled"
 
 
+def test_config_coerces_dataset_and_engine_names():
+    config = ExperimentConfig(dataset="sawtooth", exp_min=3, exp_max=3, trials=2, engines=("hop",))
+    assert config.dataset is DatasetKind.SAWTOOTH
+    assert config.engines == (MergeEngine.HOP,)
+    report = run_experiment(config)
+    # sawtooth by name is still seedless: one trial, not two
+    assert [(r.n, r.dataset, r.engine) for r in report.rows] == [(8, "sawtooth", "hop")]
+    assert len(report.samples[(8, "hop")]) == 1
+    # and the budget counts its rows once as well
+    ExperimentConfig(dataset="sawtooth", exp_min=3, exp_max=3, trials=8, budget=8)
+    with pytest.raises(ConfigError):
+        ExperimentConfig(dataset="zigzag", exp_min=3, exp_max=3)
+    with pytest.raises(ConfigError):
+        ExperimentConfig(dataset="sawtooth", exp_min=3, exp_max=3, engines=("quick",))
+
+
 def test_run_experiment_engines_see_identical_trials():
     config = ExperimentConfig(dataset=DatasetKind.SHUFFLED, exp_min=7, exp_max=8, trials=5)
     report = run_experiment(config)

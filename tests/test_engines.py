@@ -171,6 +171,14 @@ def test_stack_depth_is_popcount_after_every_push():
         assert stats.max_stack_depth <= 1000 .bit_length() + 1
 
 
+def test_max_stack_depth_without_a_probe_is_the_largest_popcount():
+    for engine in (BASELINE, HOP):
+        for n in range(301):
+            _, stats = mergesort(from_keys(list(range(n, 0, -1))), engine)
+            expected = max(c.bit_count() for c in range(1, n + 1)) if n > 1 else 0
+            assert stats.max_stack_depth == expected
+
+
 def test_shared_counter_accumulates_across_sorts():
     counter = ComparisonCounter()
     _, s1 = mergesort(from_keys([3, 1, 2]), BASELINE, counter)

@@ -14,6 +14,7 @@ from hopsort import (
     distinct_key_count,
     from_keys,
     hop_walk,
+    merge_baseline,
     merge_hop,
     mergesort,
     normalize_hops,
@@ -83,6 +84,29 @@ def test_comparison_counts_match_the_array_oracles(keys):
     assert hop.comparisons == oracles.hop_sort_frags(keys)[1]
 
 
+# a merge adds its tally to whatever the counter already holds
+PRELOAD = 1000
+
+
+@given(key_lists, key_lists)
+def test_merge_baseline_matches_the_array_oracle(left, right):
+    # drive one baseline merge directly on two sorted chains; right-side
+    # origins follow the left ones, so (key, origin) pairs compare exactly as
+    # keys do with ties going left, and the oracle yields the stable order
+    xs = [(key, i) for i, key in enumerate(sorted(left))]
+    ys = [(key, len(left) + i) for i, key in enumerate(sorted(right))]
+    b = from_keys([key for key, _ in ys])
+    for node, (_, origin) in zip(b.nodes(), ys):
+        node.origin = origin
+    counter = ComparisonCounter()
+    counter.invocations = PRELOAD
+    head = merge_baseline(from_keys([key for key, _ in xs]).head, b.head, counter)
+    expected, cost = oracles.count_merge_arrays(xs, ys)
+    merged = SortList(head, len(expected))
+    assert [(node.key, node.origin) for node in merged.nodes()] == expected
+    assert counter.invocations == PRELOAD + cost
+
+
 @given(key_lists, key_lists)
 def test_merge_hop_matches_the_fragment_oracle(left, right):
     # drive one hop merge directly (no driver, no regrouping) on two
@@ -91,13 +115,14 @@ def test_merge_hop_matches_the_fragment_oracle(left, right):
     a, _ = mergesort(from_keys(left), MergeEngine.HOP)
     b, _ = mergesort(from_keys(right), MergeEngine.HOP)
     counter = ComparisonCounter()
+    counter.invocations = PRELOAD
     merged = SortList(merge_hop(a.head, b.head, counter), len(left) + len(right))
     expected, cost = oracles.hop_merge_frags(
         oracles.maximal_segments(sorted(left)),
         oracles.maximal_segments(sorted(right)),
     )
     assert engine_fragments(merged) == expected
-    assert counter.invocations == cost
+    assert counter.invocations == PRELOAD + cost
 
 
 @given(key_lists)
