@@ -30,7 +30,6 @@ from .listcore import (
     distinct_key_count,
     from_keys,
     hop_walk,
-    normalize_hops,
     to_keys,
 )
 
@@ -53,7 +52,6 @@ __all__ = [
     "merge_baseline",
     "merge_hop",
     "mergesort",
-    "normalize_hops",
     "sort_with_stats",
     "to_keys",
 ]

@@ -89,6 +89,9 @@ class ExperimentConfig:
             raise ConfigError(f"budget must be >= 1, got {self.budget}")
         if not self.engines:
             raise ConfigError("at least one engine is required")
+        if len(set(self.engines)) != len(self.engines):
+            names = ", ".join(e.value for e in self.engines)
+            raise ConfigError(f"each engine may be given once, got {names}")
         for exp in range(self.exp_min, self.exp_max + 1):
             cost = (1 << exp) * self.row_trials
             if cost > self.budget:
@@ -196,9 +199,12 @@ def _cell(column: str, value) -> str:
 def render_table(rows: list, columns: tuple[str, ...], fmt: str = "tsv") -> str:
     """The one table writer: a header of ``columns``, then one line per row.
 
-    ``fmt`` is ``tsv`` or ``csv``.  Means and predictions print as plain
-    decimals, every per-element column to exactly 5 decimals.
+    ``fmt`` is ``tsv`` or ``csv``; any other value raises ConfigError.
+    Means and predictions print as plain decimals, every per-element column
+    to exactly 5 decimals.
     """
+    if fmt not in ("tsv", "csv"):
+        raise ConfigError(f"unknown table format {fmt!r}; use 'tsv' or 'csv'")
     sep = "\t" if fmt == "tsv" else ","
     lines = [sep.join(columns)]
     lines += [sep.join(_cell(c, getattr(r, c)) for c in columns) for r in rows]

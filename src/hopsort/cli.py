@@ -23,13 +23,6 @@ from .bench import (
     run_verify,
 )
 from .datasets import DatasetKind
-from .engines import MergeEngine
-
-_ENGINES = {
-    "baseline": (MergeEngine.BASELINE,),
-    "hop": (MergeEngine.HOP,),
-    "both": (MergeEngine.BASELINE, MergeEngine.HOP),
-}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -46,7 +39,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--exp-max", type=int, default=16, help="largest n as a power of two")
     bench.add_argument("--trials", type=int, default=100, help="seeded trials per row")
     bench.add_argument("--seed", type=int, default=1, help="base seed; trial t uses seed+t")
-    bench.add_argument("--engine", choices=sorted(_ENGINES), default="both")
+    bench.add_argument("--engine", choices=["baseline", "both", "hop"], default="both")
     bench.add_argument("--mode", choices=["totals", "per-element"], default="totals")
     bench.add_argument("--format", choices=["tsv", "csv"], default="tsv")
     bench.add_argument("--out", help="write the canonical table to this file")
@@ -84,13 +77,13 @@ def _open_out(path: str | None):
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     config = ExperimentConfig(
-        dataset=DatasetKind(args.dataset),
+        dataset=args.dataset,
         exp_min=args.exp_min,
         exp_max=args.exp_max,
         k=args.k,
         trials=args.trials,
         base_seed=args.seed,
-        engines=_ENGINES[args.engine],
+        engines=("baseline", "hop") if args.engine == "both" else (args.engine,),
         budget=args.budget,
     )
     # a file always gets the canonical table; --mode only picks the stdout view

@@ -230,16 +230,15 @@ def _regroup_equal_regions(head: Node) -> Node:
 def mergesort(
     lst: SortList,
     engine: MergeEngine | str,
-    counter: ComparisonCounter | None = None,
+    *,
     on_push: Callable[[int, int], None] | None = None,
 ) -> tuple[SortList, SortStats]:
     """Sort ``lst`` in place (nodes are re-linked) and return (lst, stats).
 
     ``engine`` is coerced with ``MergeEngine(engine)``, so ``"hop"`` works
-    and an unknown name raises ValueError.  ``counter`` may be shared across
-    calls; the returned stats report only this call's share.  ``on_push`` is
-    a debug probe called as ``on_push(pushed_so_far, stack_depth)`` right
-    after each singleton push.
+    and an unknown name raises ValueError.  ``stats.comparisons`` is this
+    call's count.  ``on_push``, keyword-only, is a debug probe called as
+    ``on_push(pushed_so_far, stack_depth)`` right after each singleton push.
 
     Keys must be totally ordered (``int``, say); they are not checked, and
     a key outside a total order such as NaN makes the output order
@@ -253,13 +252,11 @@ def mergesort(
     are pure merge work.
     """
     hop = MergeEngine(engine) is MergeEngine.HOP
-    if counter is None:
-        counter = ComparisonCounter()
     node = lst.head
     if node is None or node.next is None:
         return lst, SortStats(0, 0, 0)
     merge = merge_hop if hop else merge_baseline
-    before = counter.invocations
+    counter = ComparisonCounter()
     stack: list[Node] = []
     count = 0
     while node is not None:
@@ -286,9 +283,7 @@ def mergesort(
     lst.head = node
     # every merge joins two runs, and the stack after push c holds one run
     # per 1-bit of c, so it is deepest at the largest popcount up to count
-    return lst, SortStats(
-        counter.invocations - before, count - 1, (count + 1).bit_length() - 1
-    )
+    return lst, SortStats(counter.invocations, count - 1, (count + 1).bit_length() - 1)
 
 
 def sort_with_stats(

@@ -5,8 +5,7 @@ carries a ``hop`` link that starts out pointing at the node itself; the
 merge engines extend the hop of a run's first node so the whole run can be
 stepped over in one jump.  A maximal segment may stay covered by several
 hop *fragments* (merges are allowed to leave the cover fragmented);
-``hop_walk`` visits one node per fragment and ``normalize_hops`` collapses
-the cover back to one hop per segment.
+``hop_walk`` visits one node per fragment.
 """
 
 from __future__ import annotations
@@ -175,25 +174,6 @@ def distinct_key_count(lst: SortList, check: bool = False) -> int:
             count += 1
             prev_key = node.key
     return count
-
-
-def normalize_hops(lst: SortList) -> SortList:
-    """Collapse the hop cover to one fragment per maximal segment, in place.
-
-    After this, each segment's first node hops to its last node and every
-    interior node hops to itself.  Idempotent.
-    """
-    node = lst.head
-    while node is not None:
-        first = node
-        last = node
-        last.hop = last
-        while last.next is not None and last.next.key == first.key:
-            last = last.next
-            last.hop = last
-        first.hop = last
-        node = last.next
-    return lst
 
 
 def check_hop_valid(lst: SortList) -> Verdict:

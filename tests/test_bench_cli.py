@@ -71,6 +71,15 @@ def test_config_coerces_dataset_and_engine_names():
         ExperimentConfig(dataset="sawtooth", exp_min=3, exp_max=3, engines=("quick",))
 
 
+def test_config_rejects_a_repeated_engine():
+    # a repeated engine would sort every input twice and double its samples
+    for engines in (("hop", "hop"), ("hop", MergeEngine.HOP)):
+        with pytest.raises(ConfigError, match="once"):
+            ExperimentConfig(
+                dataset="kdistinct", exp_min=4, exp_max=4, k=4, trials=3, engines=engines
+            )
+
+
 def test_run_experiment_engines_see_identical_trials():
     config = ExperimentConfig(dataset=DatasetKind.SHUFFLED, exp_min=7, exp_max=8, trials=5)
     report = run_experiment(config)
@@ -144,6 +153,12 @@ def test_render_report_csv_swaps_separator():
     assert render_table(report.rows, REPORT_COLUMNS, "csv").splitlines()[1].startswith(
         "128,sawtooth,"
     )
+
+
+def test_render_table_rejects_an_unknown_format():
+    for fmt in ("json", "TSV"):
+        with pytest.raises(ConfigError, match=repr(fmt)):
+            render_table([], REPORT_COLUMNS, fmt)
 
 
 def test_report_is_byte_deterministic():

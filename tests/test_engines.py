@@ -179,13 +179,13 @@ def test_max_stack_depth_without_a_probe_is_the_largest_popcount():
             assert stats.max_stack_depth == expected
 
 
-def test_shared_counter_accumulates_across_sorts():
-    counter = ComparisonCounter()
-    _, s1 = mergesort(from_keys([3, 1, 2]), BASELINE, counter)
-    _, s2 = mergesort(from_keys([2, 1]), BASELINE, counter)
-    assert s1.comparisons == 3
-    assert s2.comparisons == 1
-    assert counter.invocations == 4
+def test_on_push_is_keyword_only():
+    # a positional third argument, such as a counter, is refused before the
+    # driver detaches any node
+    lst = from_keys([3, 1, 2])
+    with pytest.raises(TypeError):
+        mergesort(lst, HOP, ComparisonCounter())
+    assert to_keys(lst) == [3, 1, 2]
 
 
 def test_sort_is_stable_on_duplicates():

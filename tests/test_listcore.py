@@ -10,7 +10,6 @@ from hopsort import (
     distinct_key_count,
     from_keys,
     hop_walk,
-    normalize_hops,
     to_keys,
 )
 from hopsort.listcore import Node, SortList, dispose
@@ -87,36 +86,11 @@ def test_distinct_key_count_check_mode_rejects_unsorted():
     distinct_key_count(from_keys([2, 1]))
 
 
-def test_normalize_hops_collapses_fragmented_cover():
-    lst = from_keys([7, 7, 7])
-    ns = nodes_of(lst)
-    ns[0].hop = ns[1]  # two fragments: [n0..n1] and [n2]
-    normalize_hops(lst)
-    assert ns[0].hop is ns[2]
-    assert ns[1].hop is ns[1]
-    assert ns[2].hop is ns[2]
-    assert len(hop_walk(lst)) == 1
-
-
-def test_normalize_hops_keeps_distinct_keys_as_self_hops():
-    lst = from_keys([1, 2, 3])
-    normalize_hops(lst)
-    assert all(n.hop is n for n in nodes_of(lst))
-
-
-def test_normalize_hops_is_idempotent():
-    lst = from_keys([1, 1, 2, 2, 2, 5])
-    normalize_hops(lst)
-    first = [(id(n.hop)) for n in nodes_of(lst)]
-    normalize_hops(lst)
-    assert [(id(n.hop)) for n in nodes_of(lst)] == first
-    assert distinct_key_count(lst) == 3
-    assert len(hop_walk(lst)) == 3
-
-
 def test_check_hop_valid_accepts_fresh_and_normalized_lists():
     assert check_hop_valid(from_keys([2, 2, 1, 9]))
-    assert check_hop_valid(normalize_hops(from_keys([1, 1, 2])))
+    lst = from_keys([1, 1, 2])
+    lst.head.hop = lst.head.next  # one fragment per segment, built by hand
+    assert check_hop_valid(lst)
     assert check_hop_valid(from_keys([]))
 
 

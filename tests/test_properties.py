@@ -1,7 +1,7 @@
 """Randomized properties: both engines against the reference sort, the
 array oracles, and the structural invariants."""
 
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
@@ -17,7 +17,6 @@ from hopsort import (
     merge_baseline,
     merge_hop,
     mergesort,
-    normalize_hops,
     sort_with_stats,
     to_keys,
 )
@@ -140,19 +139,6 @@ def test_engines_agree_exactly_on_distinct_inputs(keys):
     _, base = sort_with_stats(distinct, MergeEngine.BASELINE)
     _, hop = sort_with_stats(distinct, MergeEngine.HOP)
     assert base.comparisons == hop.comparisons
-
-
-@given(key_lists)
-@settings(max_examples=50)
-def test_normalize_collapses_the_walk_to_one_visit_per_segment(keys):
-    lst, _ = mergesort(from_keys(keys), MergeEngine.HOP)
-    normalize_hops(lst)
-    assert check_hop_valid(lst)
-    assert len(hop_walk(lst)) == len(set(keys))
-    # idempotent: a second pass changes nothing
-    snapshot = [id(node.hop) for node in lst.nodes()]
-    normalize_hops(lst)
-    assert [id(node.hop) for node in lst.nodes()] == snapshot
 
 
 @given(st.integers(min_value=0, max_value=9))
