@@ -35,7 +35,7 @@ from __future__ import annotations
 import enum
 import operator
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .listcore import Node, SortList, from_keys, to_keys
 
@@ -59,15 +59,9 @@ class ComparisonCounter:
 
 @dataclass(frozen=True)
 class SortStats:
-    """Instrumentation for one sort call.
-
-    ``max_stack_depth`` is the largest popcount of the push count: after
-    push c the stack holds one run per 1-bit of c.
-    """
+    """What one sort call measured: its key-pair inspections."""
 
     comparisons: int
-    merges: int
-    max_stack_depth: int
 
 
 def merge_baseline(a: Node | None, b: Node | None, counter: ComparisonCounter) -> Node | None:
@@ -227,18 +221,12 @@ def _regroup_equal_regions(head: Node) -> Node:
     return head
 
 
-def mergesort(
-    lst: SortList,
-    engine: MergeEngine | str,
-    *,
-    on_push: Callable[[int, int], None] | None = None,
-) -> tuple[SortList, SortStats]:
+def mergesort(lst: SortList, engine: MergeEngine | str) -> tuple[SortList, SortStats]:
     """Sort ``lst`` in place (nodes are re-linked) and return (lst, stats).
 
     ``engine`` is coerced with ``MergeEngine(engine)``, so ``"hop"`` works
     and an unknown name raises ValueError.  ``stats.comparisons`` is this
-    call's count.  ``on_push``, keyword-only, is a debug probe called as
-    ``on_push(pushed_so_far, stack_depth)`` right after each singleton push.
+    call's count.
 
     Keys must be totally ordered (``int``, say); they are not checked, and
     a key outside a total order such as NaN makes the output order
@@ -254,7 +242,7 @@ def mergesort(
     hop = MergeEngine(engine) is MergeEngine.HOP
     node = lst.head
     if node is None or node.next is None:
-        return lst, SortStats(0, 0, 0)
+        return lst, SortStats(0)
     merge = merge_hop if hop else merge_baseline
     counter = ComparisonCounter()
     stack: list[Node] = []
@@ -272,8 +260,6 @@ def mergesort(
             bits >>= 1
         stack.append(node)
         count += 1
-        if on_push is not None:
-            on_push(count, len(stack))
         node = nxt
     node = stack.pop()
     while stack:
@@ -281,9 +267,7 @@ def mergesort(
     if hop:
         node = _regroup_equal_regions(node)
     lst.head = node
-    # every merge joins two runs, and the stack after push c holds one run
-    # per 1-bit of c, so it is deepest at the largest popcount up to count
-    return lst, SortStats(counter.invocations, count - 1, (count + 1).bit_length() - 1)
+    return lst, SortStats(counter.invocations)
 
 
 def sort_with_stats(

@@ -1,5 +1,10 @@
 """Experiment runner, report rendering, verify sweep, and the CLI surface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from hopsort import MergeEngine, bench, cli
@@ -69,6 +74,8 @@ def test_config_coerces_dataset_and_engine_names():
         ExperimentConfig(dataset="zigzag", exp_min=3, exp_max=3)
     with pytest.raises(ConfigError):
         ExperimentConfig(dataset="sawtooth", exp_min=3, exp_max=3, engines=("quick",))
+    with pytest.raises(ConfigError, match="tuple of engine names"):
+        ExperimentConfig(dataset="kdistinct", exp_min=3, exp_max=3, engines="hop")
 
 
 def test_config_rejects_a_repeated_engine():
@@ -344,3 +351,26 @@ def test_cli_model_rejects_exponent_past_the_limit(capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: exp_max 1030")
     assert captured.out == ""
+
+
+def _run_cli_module(*args):
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    return subprocess.run(
+        [sys.executable, "-m", "hopsort.cli", *args],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+
+
+def test_cli_module_runs_as_a_process():
+    # goes through the module's __main__ guard and its sys.exit(main())
+    done = _run_cli_module("verify", "--trials", "20", "--max-n", "16", "--max-key", "4")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "verify: 20/20 trials passed\n"
+    done = _run_cli_module("model", "--k", "4", "--exp-max", "31")
+    assert done.returncode == 2
+    assert done.stderr.startswith("error:")
+    assert done.stdout == ""
