@@ -226,14 +226,17 @@ class VerifySummary:
         return not self.failures
 
 
-def run_verify(trials: int, max_n: int, max_key: int, base_seed: int) -> VerifySummary:
+def run_verify(
+    trials: int, max_n: int, max_key: int, base_seed: int, budget: int = DEFAULT_BUDGET
+) -> VerifySummary:
     """Randomized audit of both engines.
 
     Each trial draws n <= max_n keys in 0..max_key-1, sorts with both
     engines, and checks: output equals the reference stable sort, origins
     stay increasing inside equal-key runs, every hop survives the full
     audit, the distinct count matches brute force, and the hop engine never
-    inspects more pairs than the baseline.
+    inspects more pairs than the baseline.  A sweep whose trials * max_n
+    exceeds ``budget`` raises ConfigError before the first trial.
     """
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
@@ -241,6 +244,13 @@ def run_verify(trials: int, max_n: int, max_key: int, base_seed: int) -> VerifyS
         raise ConfigError(f"max-n must be >= 0, got {max_n}")
     if max_key < 1:
         raise ConfigError(f"max-key must be >= 1, got {max_key}")
+    if budget < 1:
+        raise ConfigError(f"budget must be >= 1, got {budget}")
+    if trials * max_n > budget:
+        raise ConfigError(
+            f"refusing verify: trials*max_n = {trials * max_n} exceeds the "
+            f"budget of {budget}; raise --budget to opt in"
+        )
     summary = VerifySummary(trials=trials, passed=0)
     gc_was_enabled = gc.isenabled()
     gc.disable()

@@ -55,6 +55,12 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--max-n", type=int, default=256)
     verify.add_argument("--max-key", type=int, default=16)
     verify.add_argument("--seed", type=int, default=1)
+    verify.add_argument(
+        "--budget",
+        type=int,
+        default=DEFAULT_BUDGET,
+        help=f"refuse a sweep with trials*max-n above this (default {DEFAULT_BUDGET})",
+    )
 
     model = sub.add_parser("model", help="print predicted costs from the closed form")
     model.add_argument("--k", type=int, required=True)
@@ -98,7 +104,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    summary = run_verify(args.trials, args.max_n, args.max_key, args.seed)
+    summary = run_verify(args.trials, args.max_n, args.max_key, args.seed, args.budget)
     print(f"verify: {summary.passed}/{summary.trials} trials passed")
     if summary.ok:
         return 0

@@ -10,7 +10,6 @@ hop *fragments* (merges are allowed to leave the cover fragmented);
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -160,6 +159,11 @@ def distinct_key_count(lst: SortList, check: bool = False) -> int:
     provided the list is sorted.  On an unsorted list the result means
     nothing; pass ``check=True`` to scan the chain first and raise
     NotSortedError instead of returning garbage.
+
+    The count is one bounded walk of at most ``lst.length`` steps that
+    builds nothing.  A walk that overruns the bound (a backward hop loops
+    it) or meets a hop onto another key falls back to ``hop_walk``, so such
+    a list raises exactly the HopError ``hop_walk`` would.
     """
     if check:
         prev: int | None = None
@@ -167,6 +171,28 @@ def distinct_key_count(lst: SortList, check: bool = False) -> int:
             if prev is not None and node.key < prev:
                 raise NotSortedError(f"keys decrease at position {pos}")
             prev = node.key
+    limit = lst.length
+    steps = 0
+    count = 0
+    prev_key = 0
+    node = lst.head
+    while node is not None:
+        if steps >= limit:
+            return _count_walk_keys(lst)
+        key = node.key
+        target = node.hop
+        if target.key != key:
+            return _count_walk_keys(lst)
+        if count == 0 or key != prev_key:
+            count += 1
+            prev_key = key
+        steps += 1
+        node = target.next
+    return count
+
+
+def _count_walk_keys(lst: SortList) -> int:
+    """Key changes along the materialised ``hop_walk``; raises its HopError."""
     count = 0
     prev_key = 0
     for node in hop_walk(lst):
@@ -182,7 +208,42 @@ def check_hop_valid(lst: SortList) -> Verdict:
     A hop must stay inside the chain, point at or after its own node, and
     cover only equal keys in between.  Also flags chain cycles and a stored
     length that disagrees with the reachable node count.
+
+    A passing list costs one walk of at most ``lst.length`` steps.  Since a
+    valid hop lands forward in its own segment, the walk keeps only the set
+    of hop targets not yet reached in the current segment: a key change
+    while one is pending, a walk that outruns the stored length, or one that
+    ends short of it is a fault.  A fault is then diagnosed exactly by
+    ``_diagnose_hops``, which reports the first reason and position.
     """
+    limit = lst.length
+    count = 0
+    pending: set[Node] = set()
+    prev_key = None
+    node = lst.head
+    while node is not None:
+        if count >= limit:  # >=, not ==: a negative stored length must end the walk too
+            return _diagnose_hops(lst)
+        key = node.key
+        if pending:
+            if key != prev_key:
+                return _diagnose_hops(lst)
+            pending.discard(node)
+        hop = node.hop
+        if hop is not node:
+            pending.add(hop)
+        prev_key = key
+        count += 1
+        node = node.next
+    if pending or count != limit:
+        return _diagnose_hops(lst)
+    return Verdict(True)
+
+
+def _diagnose_hops(lst: SortList) -> Verdict:
+    """Two-pass hop audit that names the first fault: a chain cycle, then a
+    length mismatch, then the first node whose hop escapes the chain, points
+    backward or crosses a key change."""
     nodes: list[Node] = []
     index: dict[int, int] = {}
     seg_of: list[int] = []
@@ -215,17 +276,32 @@ def check_hop_valid(lst: SortList) -> Verdict:
 
 def check_sorted_stable(lst: SortList, original: Sequence[int]) -> Verdict:
     """Verify nondecreasing keys, multiset equality with ``original``, and
-    strictly increasing origins inside each equal-key run."""
+    strictly increasing origins inside each equal-key run.
+
+    One walk checks order and stability against the previous key and
+    origin; the multiset check is then ``keys == sorted(original)``.  That
+    is exact once the walk has shown the keys nondecreasing, provided keys
+    are totally ordered, which the sort itself already requires.
+    """
     keys: list[int] = []
-    prev: Node | None = None
-    for pos, node in enumerate(lst.nodes()):
-        if prev is not None:
-            if node.key < prev.key:
-                return Verdict(False, "order", pos)
-            if node.key == prev.key and node.origin <= prev.origin:
-                return Verdict(False, "stability", pos)
-        keys.append(node.key)
-        prev = node
-    if Counter(keys) != Counter(original):
+    node = lst.head
+    if node is not None:
+        prev_key = node.key
+        prev_origin = node.origin
+        keys.append(prev_key)
+        node = node.next
+        while node is not None:
+            key = node.key
+            # len(keys) is this node's position
+            if key < prev_key:
+                return Verdict(False, "order", len(keys))
+            origin = node.origin
+            if key == prev_key and origin <= prev_origin:
+                return Verdict(False, "stability", len(keys))
+            keys.append(key)
+            prev_key = key
+            prev_origin = origin
+            node = node.next
+    if keys != sorted(original):
         return Verdict(False, "multiset", None)
     return Verdict(True)

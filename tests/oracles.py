@@ -160,3 +160,69 @@ def splitmix64_stream(seed: int, count: int) -> list[int]:
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) % m
         out.append(z ^ (z >> 31))
     return out
+
+
+# Audits of a linked chain by index.  They read only the ``next``, ``hop``,
+# ``key`` and ``origin`` attributes and locate nodes by identity scans, so
+# they are quadratic and meant for short chains.
+
+Audit = tuple[bool, str | None, int | None]
+
+
+def hop_audit(head, length: int) -> Audit:
+    """(ok, reason, position) of the first fault: a ``next`` cycle, then a
+    stored length that differs from the reachable count, then the first node
+    by index whose hop leaves the chain, points backward or spans a key
+    change."""
+    chain = []
+    node = head
+    while node is not None:
+        if any(node is seen for seen in chain):
+            return False, "cycle", len(chain)
+        chain.append(node)
+        node = node.next
+    if len(chain) != length:
+        return False, "length", len(chain)
+    keys = [node.key for node in chain]
+    for i, node in enumerate(chain):
+        targets = [j for j, other in enumerate(chain) if other is node.hop]
+        if not targets:
+            return False, "hop-escape", i
+        j = targets[0]
+        if j < i:
+            return False, "hop-backward", i
+        if any(keys[m] != keys[m - 1] for m in range(i + 1, j + 1)):
+            return False, "hop-key", i
+    return True, None, None
+
+
+def sorted_stable_audit(head, original: list[int]) -> Audit:
+    """(ok, reason, position): the first key drop, then the first equal-key
+    neighbour whose origin does not increase, then a key multiset that
+    differs from ``original`` (position None).
+
+    On a ``next`` cycle the walk stops one step after its last new node: with
+    integer keys, a drop or a stability fault must occur by that step.
+    """
+    walk = []
+    node = head
+    while node is not None and not any(node is seen for seen in walk):
+        walk.append(node)
+        node = node.next
+    if node is not None:
+        walk.append(node)
+    pairs = [(node.key, node.origin) for node in walk]
+    for pos in range(1, len(pairs)):
+        (prev_key, prev_origin), (key, origin) = pairs[pos - 1], pairs[pos]
+        if key < prev_key:
+            return False, "order", pos
+        if key == prev_key and origin <= prev_origin:
+            return False, "stability", pos
+    balance: dict[int, int] = {}
+    for key, _ in pairs:
+        balance[key] = balance.get(key, 0) + 1
+    for key in original:
+        balance[key] = balance.get(key, 0) - 1
+    if any(balance.values()):
+        return False, "multiset", None
+    return True, None, None

@@ -211,6 +211,25 @@ def test_run_verify_rejects_bad_arguments():
         run_verify(trials=1, max_n=8, max_key=0, base_seed=1)
 
 
+def _no_sort(*args, **kwargs):
+    raise AssertionError("a refused verify must not sort anything")
+
+
+def test_run_verify_budget_refusal_comes_before_any_trial(monkeypatch):
+    monkeypatch.setattr(bench, "mergesort", _no_sort)
+    with pytest.raises(ConfigError, match=r"trials\*max_n = 256000 exceeds the budget of 255999"):
+        run_verify(trials=1000, max_n=256, max_key=16, base_seed=1, budget=255_999)
+    with pytest.raises(ConfigError, match="budget must be >= 1"):
+        run_verify(trials=1, max_n=8, max_key=2, base_seed=1, budget=0)
+    # the default budget refuses a sweep too large to finish
+    with pytest.raises(ConfigError, match="budget"):
+        run_verify(trials=1 << 20, max_n=256, max_key=16, base_seed=1)
+
+
+def test_run_verify_budget_is_inclusive():
+    assert run_verify(trials=4, max_n=8, max_key=2, base_seed=1, budget=32).ok
+
+
 def test_run_model_rows():
     rows = run_model(k=4, exp_min=2, exp_max=4)
     assert [(r.n, r.k, r.predicted) for r in rows] == [(4, 4, 12.0), (8, 4, 28.0), (16, 4, 60.0)]
@@ -327,6 +346,15 @@ def test_cli_verify_passes(capsys):
     rc = cli.main(["verify", "--trials", "50", "--max-n", "32", "--max-key", "4"])
     assert rc == 0
     assert "50/50 trials passed" in capsys.readouterr().out
+
+
+def test_cli_verify_budget_refusal_exits_2(monkeypatch, capsys):
+    monkeypatch.setattr(bench, "mergesort", _no_sort)
+    assert cli.main(["verify", "--trials", str(1 << 20), "--max-n", "256"]) == 2
+    assert "budget of 33554432" in capsys.readouterr().err
+    rc = cli.main(["verify", "--trials", "10", "--max-n", "32", "--budget", "319"])
+    assert rc == 2
+    assert "raise --budget" in capsys.readouterr().err
 
 
 def test_cli_verify_failure_exit_code(monkeypatch, capsys):

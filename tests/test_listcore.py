@@ -5,6 +5,7 @@ import pytest
 from hopsort import (
     HopError,
     NotSortedError,
+    Verdict,
     check_hop_valid,
     check_sorted_stable,
     distinct_key_count,
@@ -130,6 +131,73 @@ def test_check_hop_valid_flags_length_mismatch():
     verdict = check_hop_valid(lst)
     assert not verdict
     assert verdict.reason == "length"
+
+
+def test_check_hop_valid_flags_a_cycle():
+    lst = from_keys([1, 2, 3])
+    ns = nodes_of(lst)
+    ns[2].next = ns[1]  # the stored length still reads 3
+    assert check_hop_valid(lst) == Verdict(False, "cycle", 3)
+
+
+def test_check_hop_valid_flags_a_cycle_under_a_negative_length():
+    # the walk's bound must still end the walk when the stored length is < 0
+    lst = from_keys([4, 4])
+    ns = nodes_of(lst)
+    ns[1].next = ns[0]
+    lst.length = -1
+    assert check_hop_valid(lst) == Verdict(False, "cycle", 2)
+
+
+def test_check_hop_valid_flags_a_chain_longer_than_its_length():
+    lst = from_keys([1, 2, 3])
+    lst.length = 2
+    assert check_hop_valid(lst) == Verdict(False, "length", 3)
+    lst.length = -1
+    assert check_hop_valid(lst) == Verdict(False, "length", 3)
+    assert check_hop_valid(SortList(None, 1)) == Verdict(False, "length", 0)
+
+
+def test_check_hop_valid_flags_a_disposed_node():
+    lst = from_keys([7])
+    stale = SortList(lst.head, 1)
+    dispose(lst)  # leaves the node with hop None
+    assert check_hop_valid(stale) == Verdict(False, "hop-escape", 0)
+
+
+def test_check_hop_valid_reports_the_first_bad_hop():
+    # a pending target in the first segment is diagnosed before later faults
+    lst = from_keys([1, 1, 2, 2])
+    ns = nodes_of(lst)
+    ns[1].hop = ns[2]
+    ns[3].hop = ns[2]
+    assert check_hop_valid(lst) == Verdict(False, "hop-key", 1)
+    ns[1].hop = ns[1]
+    assert check_hop_valid(lst) == Verdict(False, "hop-backward", 3)
+
+
+def test_distinct_key_count_raises_on_a_backward_hop():
+    lst = from_keys([5, 5])
+    ns = nodes_of(lst)
+    ns[1].hop = ns[0]
+    with pytest.raises(HopError) as exc:
+        distinct_key_count(lst)
+    assert str(exc.value) == "walk revisited a node at step 2; some hop points backward"
+
+
+def test_distinct_key_count_raises_on_a_key_crossing_hop():
+    lst = from_keys([1, 1, 2])
+    ns = nodes_of(lst)
+    ns[1].hop = ns[2]
+    with pytest.raises(HopError) as exc:
+        distinct_key_count(lst)
+    assert str(exc.value) == "hop at walk step 1 jumps from key 1 to key 2"
+
+
+def test_distinct_key_count_survives_an_understated_length():
+    lst = from_keys([1, 1, 2, 3])
+    lst.length = 2
+    assert distinct_key_count(lst) == 3
 
 
 def test_check_sorted_stable_passes_a_true_stable_order():

@@ -1,7 +1,7 @@
 """Randomized properties: both engines against the reference sort, the
 array oracles, and the structural invariants."""
 
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -20,6 +20,7 @@ from hopsort import (
     sort_with_stats,
     to_keys,
 )
+from hopsort.listcore import Node
 
 key_lists = st.lists(st.integers(min_value=0, max_value=15), max_size=200)
 wide_lists = st.lists(st.integers(min_value=-50, max_value=50), max_size=120)
@@ -147,3 +148,42 @@ def test_sorted_distinct_power_of_two_cost(m):
     for engine in MergeEngine:
         _, stats = sort_with_stats(list(range(n)), engine)
         assert stats.comparisons == (n // 2) * m
+
+
+MUTATIONS = ("hop", "next", "length", "key", "origin")
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_audits_match_the_index_oracles_on_mutated_lists(data):
+    keys = data.draw(st.lists(st.integers(min_value=0, max_value=4), max_size=24))
+    engine = data.draw(st.sampled_from([None, *MergeEngine]))
+    lst = from_keys(keys)
+    if engine is not None:
+        lst, _ = mergesort(lst, engine)
+    nodes = list(lst.nodes())
+    index = st.integers(min_value=0, max_value=max(len(nodes) - 1, 0))
+    for kind in data.draw(st.lists(st.sampled_from(MUTATIONS), max_size=3)):
+        if kind == "length":
+            lst.length += data.draw(st.integers(min_value=-3, max_value=3))
+            continue
+        if not nodes:
+            continue
+        node = nodes[data.draw(index)]
+        if kind in ("hop", "next"):
+            # another chain node, a node outside the chain, or nil
+            target = data.draw(
+                st.one_of(st.sampled_from(nodes), st.just(Node(node.key)), st.none())
+            )
+            if kind == "hop":
+                node.hop = target
+            else:
+                node.next = target
+        else:
+            setattr(node, kind, data.draw(st.integers(min_value=0, max_value=4)))
+    expected = oracles.hop_audit(lst.head, lst.length)
+    verdict = check_hop_valid(lst)
+    assert (verdict.ok, verdict.reason, verdict.position) == expected
+    verdict = check_sorted_stable(lst, keys)
+    expected = oracles.sorted_stable_audit(lst.head, keys)
+    assert (verdict.ok, verdict.reason, verdict.position) == expected
