@@ -1,10 +1,14 @@
 """The two merge procedures and the shared bottom-up driver.
 
-Both engines run under the same driver: each input node is detached as a
-singleton and pushed onto a stack, and the binary pattern of the running
-push count decides how many merges precede the push -- one merge per low
-1-bit, so the stack never holds more than one run per bit.  The popped
-(older) run is always the left merge operand and ties take the left node.
+Both engines run under the same driver: input nodes are detached two at
+a time and each pair is merged at once into a two-node run, which is pushed
+onto a stack.  The binary pattern of the running pair count decides how many
+merges precede the push -- one merge per low 1-bit, so the stack never holds
+more than one run per bit; a trailing odd node is pushed as a singleton.
+This is the merge sequence of detaching, pushing and carrying one node at a
+time, with one stack push per pair and no pop for the level-0 merge.  The
+popped (older) run is always the left merge operand and ties take the left
+node.
 
 Comparison counting: one count per key pair inspected while both sides are
 nonempty.  A single <= verdict (baseline) and a full less/equal/greater
@@ -22,12 +26,14 @@ behind another without fusing the two is a head-selection tie; there an
 equal-splice later in the same merge can land right-side nodes ahead of a
 left-side fragment of the same key, and no splice order can repair that
 without inspecting keys the fragment walk never visits.  So a head tie
-marks the trailing fragment (``tie``).  Fragments are never split and two
-fragments of one run never fuse later, so a mark stays directly behind its
-equal-key region until the sort ends.  After the final fold the driver
-walks the chain by hop and reorders only the regions that carry marks --
-restoring input order for equal keys while leaving the comparison count
-untouched.
+marks the trailing fragment by adding its head to the sort's
+``ComparisonCounter.ties``.  Fragments are never split and two fragments of
+one run never fuse later, so a mark stays directly behind its equal-key
+region until the sort ends.  After the final fold the driver walks the
+chain by hop and reorders only the regions that carry marks -- restoring
+input order for equal keys while leaving the comparison count untouched.
+A sort that saw no head tie has no mark, so it skips the walk.  The marks
+live in the counter of the sort that made them, so none can outlive it.
 """
 
 from __future__ import annotations
@@ -46,12 +52,17 @@ class MergeEngine(enum.Enum):
 
 
 class ComparisonCounter:
-    """Tally of key-pair inspections.  Never reset implicitly."""
+    """Tally of key-pair inspections.  Never reset implicitly.
 
-    __slots__ = ("invocations",)
+    ``ties`` is the set of fragment heads that ``merge_hop`` marked at a
+    head-selection tie; ``mergesort`` hands it to its regroup pass.
+    """
+
+    __slots__ = ("invocations", "ties")
 
     def __init__(self) -> None:
         self.invocations = 0
+        self.ties: set[Node] = set()
 
     def __repr__(self) -> str:
         return f"ComparisonCounter(invocations={self.invocations})"
@@ -116,8 +127,9 @@ def merge_hop(a: Node | None, b: Node | None, counter: ComparisonCounter) -> Nod
     steps over the combined run in one jump.  The head-selection step emits
     the winning fragment without looking across, which can leave a maximal
     segment covered by more than one fragment; that fragmentation is legal
-    and never repaired here, but a head tie sets ``b.tie`` so the driver's
-    final pass knows where the segment may be out of origin order.
+    and never repaired here, but a head tie adds ``b`` to ``counter.ties``
+    so the driver's final pass knows where the segment may be out of origin
+    order.
     """
     if a is None:
         return b
@@ -130,7 +142,7 @@ def merge_hop(a: Node | None, b: Node | None, counter: ComparisonCounter) -> Nod
         b = b.hop.next
     else:
         if ak == bk:
-            b.tie = True
+            counter.ties.add(b)
         head = a
         a = a.hop.next
     p = head.hop
@@ -177,25 +189,26 @@ def merge_hop(a: Node | None, b: Node | None, counter: ComparisonCounter) -> Nod
 _origin_of = operator.attrgetter("origin")
 
 
-def _regroup_equal_regions(head: Node) -> Node:
+def _regroup_equal_regions(head: Node, marked: set[Node]) -> Node:
     """Rebuild every multi-fragment equal-key region of ``head`` in origin order.
 
     Walks the chain by hop, one step per fragment.  A fragment whose
-    successor carries no ``tie`` mark is left alone; a run of marked
-    successors is one equal-key region, which is re-linked by ascending
-    origin, coalesced (first node hops to the last, every other node to
-    itself) and unmarked.  No keys are inspected.
+    successor is not in ``marked`` (the sort's head-tie marks) is left
+    alone; a run of marked successors is one equal-key region, which is
+    re-linked by ascending origin and coalesced (first node hops to the
+    last, every other node to itself).  ``marked`` is only read.  No keys
+    are inspected.
     """
     tail: Node | None = None  # last node of the chain rebuilt so far
     node: Node | None = head
     while node is not None:
         last = node.hop
         nxt = last.next
-        if nxt is None or not nxt.tie:
+        if nxt not in marked:
             tail = last
             node = nxt
             continue
-        while nxt is not None and nxt.tie:
+        while nxt in marked:
             last = nxt.hop
             nxt = last.next
         region = [node]
@@ -204,12 +217,10 @@ def _regroup_equal_regions(head: Node) -> Node:
             region.append(node)
         region.sort(key=_origin_of)
         first = prev = region[0]
-        first.tie = False
         for nd in region[1:]:
             prev.next = nd
             prev = nd
             nd.hop = nd
-            nd.tie = False
         first.hop = prev
         prev.next = nxt
         if tail is None:
@@ -237,35 +248,41 @@ def mergesort(lst: SortList, engine: MergeEngine | str) -> tuple[SortList, SortS
     equal-key regions marked at head-selection ties, which also coalesces
     each of them to a single fragment (head hops to the region's last
     node); it performs no key inspections, so reported comparison counts
-    are pure merge work.
+    are pure merge work.  A sort whose merges marked no tie skips the walk,
+    which would change nothing.
     """
     hop = MergeEngine(engine) is MergeEngine.HOP
     node = lst.head
-    if node is None or node.next is None:
+    if node is None:
         return lst, SortStats(0)
     merge = merge_hop if hop else merge_baseline
     counter = ComparisonCounter()
     stack: list[Node] = []
-    count = 0
+    pairs = 0
     while node is not None:
-        nxt = node.next
-        node.next = None
-        # a detached singleton must not hop into the chain it came from,
-        # nor carry a tie mark left by an earlier merge
+        # a detached node must not hop into the chain it came from
         node.hop = node
-        node.tie = False
-        bits = count
+        b = node.next
+        if b is None:
+            stack.append(node)  # a trailing odd node is a singleton run
+            break
+        nxt = b.next
+        node.next = None
+        b.next = None
+        b.hop = b
+        run = merge(node, b, counter)
+        bits = pairs
         while bits & 1:
-            node = merge(stack.pop(), node, counter)
+            run = merge(stack.pop(), run, counter)
             bits >>= 1
-        stack.append(node)
-        count += 1
+        stack.append(run)
+        pairs += 1
         node = nxt
     node = stack.pop()
     while stack:
         node = merge(stack.pop(), node, counter)
-    if hop:
-        node = _regroup_equal_regions(node)
+    if counter.ties:
+        node = _regroup_equal_regions(node, counter.ties)
     lst.head = node
     return lst, SortStats(counter.invocations)
 

@@ -25,18 +25,18 @@ class NotSortedError(ValueError):
 class Node:
     """List element: integer key, origin index, ``next`` link, ``hop`` link.
 
-    ``tie`` marks a fragment head that a hop merge left directly behind an
-    equal-key fragment; the hop engine's final pass reads and clears it.
+    A node carries no sort state beyond its links: the hop engine's
+    head-tie marks live in the ``ComparisonCounter`` of the sort that made
+    them.
     """
 
-    __slots__ = ("key", "origin", "next", "hop", "tie")
+    __slots__ = ("key", "origin", "next", "hop")
 
     def __init__(self, key: int, origin: int = 0):
         self.key = key
         self.origin = origin
         self.next: Node | None = None
         self.hop: Node = self
-        self.tie = False
 
     def __repr__(self) -> str:
         return f"Node(key={self.key!r}, origin={self.origin!r})"
@@ -158,7 +158,11 @@ def distinct_key_count(lst: SortList, check: bool = False) -> int:
     keys inside a fragment, so counting key changes along it is exact --
     provided the list is sorted.  On an unsorted list the result means
     nothing; pass ``check=True`` to scan the chain first and raise
-    NotSortedError instead of returning garbage.
+    NotSortedError instead of returning garbage.  Past ``lst.length`` steps
+    that scan remembers the nodes it visits and stops at the first one it
+    meets again, so it ends on a cyclic chain, which the count below then
+    handles as it does without the check, and still reaches the end of an
+    acyclic chain longer than its stored length.
 
     The count is one bounded walk of at most ``lst.length`` steps that
     builds nothing.  A walk that overruns the bound (a backward hop loops
@@ -166,11 +170,20 @@ def distinct_key_count(lst: SortList, check: bool = False) -> int:
     a list raises exactly the HopError ``hop_walk`` would.
     """
     if check:
+        seen: set[Node] = set()
         prev: int | None = None
-        for pos, node in enumerate(lst.nodes()):
+        pos = 0
+        node = lst.head
+        while node is not None:
+            if pos >= lst.length:  # >=, not ==: a negative stored length must end too
+                if node in seen:
+                    break
+                seen.add(node)
             if prev is not None and node.key < prev:
                 raise NotSortedError(f"keys decrease at position {pos}")
             prev = node.key
+            pos += 1
+            node = node.next
     limit = lst.length
     steps = 0
     count = 0

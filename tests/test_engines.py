@@ -14,6 +14,7 @@ from hopsort import (
     check_hop_valid,
     check_sorted_stable,
     distinct_key_count,
+    engines,
     from_keys,
     hop_walk,
     merge_baseline,
@@ -86,8 +87,9 @@ def test_merge_hop_absorbs_equal_singleton_in_one_comparison():
     # head selection emits the winning fragment without looking across, so
     # the three equal keys stay covered by two fragments
     assert first.hop is second
-    # the tie leaves b's fragment unfused behind a's, so it is marked
-    assert b.head.tie and not first.tie
+    # the tie leaves b's fragment unfused behind a's, so the merge's
+    # counter marks b's head, and only it
+    assert counter.ties == {b.head}
     merged = type(a)(head, 3)
     assert len(hop_walk(merged)) == 2
     assert check_hop_valid(merged)
@@ -177,8 +179,8 @@ def test_hop_output_passes_full_audit():
         assert check_sorted_stable(lst, keys)
         assert check_hop_valid(lst)
         assert distinct_key_count(lst) == len(set(keys))
-        # the final pass clears every head-tie mark it regrouped
-        assert not any(n.tie for n in lst.nodes())
+        # the final pass leaves every equal-key region as one fragment
+        assert len(hop_walk(lst)) == len(set(keys))
 
 
 def test_resorting_a_sorted_list_with_coalesced_hops_is_safe():
@@ -210,15 +212,47 @@ def test_engine_names_are_coerced_or_rejected():
         mergesort(from_keys([]), "quick")
 
 
-def test_driver_clears_stale_tie_marks():
+def test_a_mark_from_an_earlier_merge_carries_nothing_into_a_later_sort():
     # a node marked by an earlier head tie is reused in a fresh chain ahead of
-    # a smaller key; the driver must drop the mark, or the final pass would
-    # regroup 3 and 5 as one equal-key region and order them by origin
+    # a smaller key; the mark lives in that merge's counter, so the sort must
+    # not see it, or its final pass would regroup 3 and 5 as one equal-key
+    # region and order them by origin
     marked = from_keys([5]).head
-    merge_hop(from_keys([5]).head, marked, ComparisonCounter())
-    assert marked.tie
+    counter = ComparisonCounter()
+    merge_hop(from_keys([5]).head, marked, counter)
+    assert counter.ties == {marked}
     marked.next = Node(3, 1)
     lst, _ = mergesort(SortList(marked, 2), HOP)
     assert [(n.key, n.origin) for n in lst.nodes()] == [(3, 1), (5, 0)]
     assert check_sorted_stable(lst, [5, 3])
     assert check_hop_valid(lst)
+
+
+def test_a_lone_node_leaves_the_sort_hopping_to_itself():
+    # a one-node list cut from a coalesced run still carries its old hop
+    head = mergesort(from_keys([2, 2, 2]), HOP)[0].head
+    assert head.hop is not head
+    head.next = None
+    for engine in (BASELINE, HOP):
+        lst, stats = mergesort(SortList(head, 1), engine)
+        assert lst.head is head and head.hop is head
+        assert check_hop_valid(lst)
+        assert stats.comparisons == 0
+
+
+def test_the_regroup_walk_runs_only_after_a_head_tie(monkeypatch):
+    calls = []
+
+    def regroup(head, marked):
+        calls.append(sorted(n.origin for n in marked))
+        raise RuntimeError("regroup walk")
+
+    monkeypatch.setattr(engines, "_regroup_equal_regions", regroup)
+    for keys in ([], [4], [2, 1], list(range(9, -1, -1)), gen_kdistinct(300, 300, seed=5)):
+        lst, _ = mergesort(from_keys(keys), HOP)
+        assert to_keys(lst) == sorted(keys)
+    mergesort(from_keys([5, 5]), BASELINE)
+    assert calls == []
+    with pytest.raises(RuntimeError, match="regroup walk"):
+        mergesort(from_keys([5, 5]), HOP)
+    assert calls == [[1]]

@@ -85,6 +85,11 @@ def test_distinct_key_count_check_mode_rejects_unsorted():
         distinct_key_count(from_keys([2, 1]), check=True)
     # without the check the call completes, but the number is meaningless
     distinct_key_count(from_keys([2, 1]))
+    # a drop past an understated stored length is still found
+    lst = from_keys([1, 2, 0])
+    lst.length = 1
+    with pytest.raises(NotSortedError, match="position 2"):
+        distinct_key_count(lst, check=True)
 
 
 def test_check_hop_valid_accepts_fresh_and_normalized_lists():
@@ -192,6 +197,21 @@ def test_distinct_key_count_raises_on_a_key_crossing_hop():
     with pytest.raises(HopError) as exc:
         distinct_key_count(lst)
     assert str(exc.value) == "hop at walk step 1 jumps from key 1 to key 2"
+
+
+@pytest.mark.parametrize("length", [2, -1])
+def test_distinct_key_count_check_mode_ends_on_a_cycle(length):
+    # the keys never decrease around the cycle, so only a bound ends the
+    # check walk; the count walk then raises what it raises without the check
+    lst = from_keys([1, 1])
+    ns = nodes_of(lst)
+    ns[1].next = ns[0]
+    lst.length = length
+    message = "walk revisited a node at step 2; some hop points backward"
+    for check in (False, True):
+        with pytest.raises(HopError) as exc:
+            distinct_key_count(lst, check=check)
+        assert str(exc.value) == message
 
 
 def test_distinct_key_count_survives_an_understated_length():

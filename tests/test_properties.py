@@ -123,6 +123,11 @@ def test_merge_hop_matches_the_fragment_oracle(left, right):
     )
     assert engine_fragments(merged) == expected
     assert counter.invocations == PRELOAD + cost
+    # only a head-selection tie marks, and it marks the right operand's head
+    if left and right and min(left) == min(right):
+        assert counter.ties == {b.head}
+    else:
+        assert counter.ties == set()
 
 
 @given(key_lists)
