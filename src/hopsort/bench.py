@@ -258,7 +258,7 @@ def run_verify(
         for trial in range(trials):
             rng = Rng64(base_seed + trial)
             n = rng.next() % (max_n + 1)
-            keys = [rng.next() % max_key for _ in range(n)]
+            keys = [key % max_key for key in rng.take(n)]
             expected = sorted(keys)
             distinct = len(set(keys))
             problems: list[str] = []

@@ -2,17 +2,39 @@
 
 All randomness flows through splitmix64, so a (kind, n, k, seed) tuple pins
 down one input sequence bit-for-bit on every platform.
+
+``Rng64.take`` draws a block of outputs at once: output i of the block sits in
+128-bit lane i of one int, its low 64 bits the value and its high 64 bits room
+for the product with a 64-bit constant, so each splitmix step is one int op.
 """
 
 from __future__ import annotations
 
 import enum
+import sys
+from array import array
 from dataclasses import dataclass
+from operator import mod
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
+
+# outputs per block of Rng64.take: 1024 lanes of 16 bytes make 16 KiB ints,
+# and a bounded block keeps the temporaries from growing with the count
+_LANES = 1024
+_LANE_BYTES = 16
+
+
+def _lanes(values: list[int]) -> int:
+    """Pack ``values`` (each below 2**64) into consecutive 128-bit lanes of one int."""
+    return int.from_bytes(b"".join(v.to_bytes(_LANE_BYTES, "little") for v in values), "little")
+
+
+_LANE_ONES = _lanes([1] * _LANES)
+_LANE_LOW = _lanes([_MASK64] * _LANES)  # the low 64 bits of every lane
+_LANE_STEPS = _lanes([(i + 1) * _GAMMA & _MASK64 for i in range(_LANES)])
 
 
 class Rng64:
@@ -29,6 +51,40 @@ class Rng64:
         z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
         z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
         return z ^ (z >> 31)
+
+    def take(self, count: int) -> list[int]:
+        """The next ``count`` outputs: equal to ``count`` calls of ``next()``,
+        and ``state`` ends where those calls leave it.
+
+        Output i depends on ``state + (i+1)*gamma`` alone, so a block of up
+        to ``_LANES`` outputs runs each splitmix step lane-wise on one packed
+        int, masking every lane back to 64 bits before the next shift or
+        multiply.  A negative ``count`` raises ValueError.
+        """
+        if count < 0:
+            raise ValueError(f"count must be >= 0, got {count}")
+        out: list[int] = []
+        state = self.state
+        while count:
+            lanes = min(count, _LANES)
+            size = lanes * _LANE_BYTES
+            if lanes == _LANES:
+                ones, low, steps = _LANE_ONES, _LANE_LOW, _LANE_STEPS
+            else:
+                keep = (1 << (8 * size)) - 1
+                ones, low, steps = _LANE_ONES & keep, _LANE_LOW & keep, _LANE_STEPS & keep
+            z = (state * ones + steps) & low
+            z = (((z ^ (z >> 30)) & low) * _MIX1) & low
+            z = (((z ^ (z >> 27)) & low) * _MIX2) & low
+            z ^= z >> 31  # lane i's high half takes lane i+1's low bits; unpacking drops them
+            words = array("Q", z.to_bytes(size, "little"))
+            if sys.byteorder == "big":
+                words.byteswap()
+            out += words[0::2].tolist()
+            state = (state + lanes * _GAMMA) & _MASK64
+            count -= lanes
+        self.state = state
+        return out
 
 
 class DatasetKind(enum.Enum):
@@ -58,8 +114,9 @@ def _fisher_yates(values: list[int], rng: Rng64) -> list[int]:
     # swap i with a uniform j <= i, walking i from the top down; the modulo
     # bias of `next() % (i+1)` is negligible at 64 bits and kept for
     # reproducibility of the streams
-    for i in range(len(values) - 1, 0, -1):
-        j = rng.next() % (i + 1)
+    n = len(values)
+    js = map(mod, rng.take(max(n - 1, 0)), range(n, 1, -1))
+    for i, j in zip(range(n - 1, 0, -1), js):
         values[i], values[j] = values[j], values[i]
     return values
 

@@ -251,7 +251,9 @@ def mergesort(lst: SortList, engine: MergeEngine | str) -> tuple[SortList, SortS
     are pure merge work.  A sort whose merges marked no tie skips the walk,
     which would change nothing.
     """
-    hop = MergeEngine(engine) is MergeEngine.HOP
+    if type(engine) is not MergeEngine:
+        engine = MergeEngine(engine)  # skipped for a member: tiny sorts pay it per call
+    hop = engine is MergeEngine.HOP
     node = lst.head
     if node is None:
         return lst, SortStats(0)

@@ -80,6 +80,11 @@ class Verdict:
         return self.ok
 
 
+# every passing check returns this one frozen verdict, so an audit of a tiny
+# list does not pay for building one per check
+_PASS = Verdict(True)
+
+
 def from_keys(keys: Sequence[int]) -> SortList:
     """Build a list whose i-th node has key ``keys[i]`` and origin ``i``.
 
@@ -88,23 +93,28 @@ def from_keys(keys: Sequence[int]) -> SortList:
     must be totally ordered (``int``, say) for the sort to be meaningful;
     they are not checked, since a check would cost every build.
     """
-    head: Node | None = None
-    prev: Node | None = None
-    n = 0
-    for i, key in enumerate(keys):
+    indexed = enumerate(keys)
+    first = next(indexed, None)
+    if first is None:
+        return SortList()
+    head = prev = Node(first[1], 0)
+    i = 0
+    for i, key in indexed:
         node = Node(key, i)
-        if prev is None:
-            head = node
-        else:
-            prev.next = node
+        prev.next = node
         prev = node
-        n += 1
-    return SortList(head, n)
+    return SortList(head, i + 1)
 
 
 def to_keys(lst: SortList) -> list[int]:
     """Keys in next-order."""
-    return [node.key for node in lst.nodes()]
+    keys: list[int] = []
+    append = keys.append
+    node = lst.head
+    while node is not None:
+        append(node.key)
+        node = node.next
+    return keys
 
 
 def dispose(lst: SortList) -> None:
@@ -250,7 +260,7 @@ def check_hop_valid(lst: SortList) -> Verdict:
         node = node.next
     if pending or count != limit:
         return _diagnose_hops(lst)
-    return Verdict(True)
+    return _PASS
 
 
 def _diagnose_hops(lst: SortList) -> Verdict:
@@ -284,7 +294,7 @@ def _diagnose_hops(lst: SortList) -> Verdict:
         if seg_of[j] != seg_of[i]:
             # same chain, forward, but the stretch [i..j] changes key somewhere
             return Verdict(False, "hop-key", i)
-    return Verdict(True)
+    return _PASS
 
 
 def check_sorted_stable(lst: SortList, original: Sequence[int]) -> Verdict:
@@ -317,4 +327,4 @@ def check_sorted_stable(lst: SortList, original: Sequence[int]) -> Verdict:
             node = node.next
     if keys != sorted(original):
         return Verdict(False, "multiset", None)
-    return Verdict(True)
+    return _PASS

@@ -162,6 +162,17 @@ def splitmix64_stream(seed: int, count: int) -> list[int]:
     return out
 
 
+def fisher_yates(values: list[int], seed: int) -> list[int]:
+    """A shuffled copy of ``values``: for i from the top index down to 1,
+    swap positions i and (draw % (i+1)), one ``splitmix64_stream`` draw per i."""
+    out = list(values)
+    draws = splitmix64_stream(seed, max(len(out) - 1, 0))
+    for draw, i in zip(draws, reversed(range(1, len(out)))):
+        j = draw % (i + 1)
+        out[i], out[j] = out[j], out[i]
+    return out
+
+
 # Audits of a linked chain by index.  They read only the ``next``, ``hop``,
 # ``key`` and ``origin`` attributes and locate nodes by identity scans, so
 # they are quadratic and meant for short chains.

@@ -20,7 +20,8 @@ from hopsort.bench import (
     run_model,
     run_verify,
 )
-from hopsort.datasets import DatasetKind
+from hopsort.datasets import DatasetKind, Rng64
+from hopsort.listcore import from_keys
 
 BASELINE_ONLY = (MergeEngine.BASELINE,)
 
@@ -402,3 +403,43 @@ def test_cli_module_runs_as_a_process():
     assert done.returncode == 2
     assert done.stderr.startswith("error:")
     assert done.stdout == ""
+
+
+def test_run_verify_sorts_the_scalar_drawn_inputs(monkeypatch):
+    # perfbench's audit workload draws run_verify's inputs one next() at a
+    # time and sorts them next to it, so the block draw must not drift
+    built = []
+
+    def recording_from_keys(keys):
+        built.append(list(keys))
+        return from_keys(keys)
+
+    monkeypatch.setattr(bench, "from_keys", recording_from_keys)
+    assert run_verify(50, 64, 5, 9).ok
+    expected = []
+    for trial in range(50):
+        rng = Rng64(9 + trial)
+        n = rng.next() % 65
+        keys = [rng.next() % 5 for _ in range(n)]
+        expected += [keys, keys]  # one build per engine
+    assert built == expected
+    assert any(len(keys) > 32 for keys in built)
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+@pytest.mark.parametrize(
+    "golden, args",
+    [
+        ("bench_shuffled_exp4-9_trials3.tsv", ["--dataset", "shuffled"]),
+        ("bench_kdistinct_k16_exp4-9_trials3.tsv", ["--dataset", "kdistinct", "--k", "16"]),
+    ],
+)
+def test_cli_bench_tables_match_the_golden_bytes(golden, args, tmp_path):
+    out = tmp_path / "t.tsv"
+    rc = cli.main(
+        ["bench", *args, "--exp-min", "4", "--exp-max", "9", "--trials", "3", "--out", str(out)]
+    )
+    assert rc == 0
+    assert out.read_bytes() == (GOLDEN / golden).read_bytes()

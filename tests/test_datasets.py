@@ -5,6 +5,7 @@ from collections import Counter
 import pytest
 
 import oracles
+from hopsort import datasets
 from hopsort.datasets import (
     DatasetKind,
     DatasetSpec,
@@ -79,3 +80,41 @@ def test_dataset_spec_dispatch():
     assert DatasetSpec(DatasetKind.SAWTOOTH, 6, k=3).generate() == [0, 1, 2, 0, 1, 2]
     assert DatasetSpec(DatasetKind.SHUFFLED, 16, seed=2).generate() == gen_shuffled(16, 2)
     assert DatasetSpec(DatasetKind.KDISTINCT, 16, k=4, seed=2).generate() == gen_kdistinct(16, 4, 2)
+
+
+LANES = datasets._LANES  # outputs per block of Rng64.take
+
+
+def test_take_matches_the_stream_across_block_boundaries():
+    for seed in (0, 1, 7, 2**64 - 1):
+        for count in (0, 1, LANES - 1, LANES, LANES + 1, 3 * LANES + 5):
+            expected = oracles.splitmix64_stream(seed, count + 1)
+            rng = Rng64(seed)
+            assert rng.take(count) == expected[:count], (seed, count)
+            assert rng.next() == expected[count], (seed, count)
+
+
+def test_take_edge_counts():
+    rng = Rng64(3)
+    assert rng.take(0) == []
+    assert rng.state == 3  # an empty draw leaves the stream where it was
+    with pytest.raises(ValueError):
+        rng.take(-1)
+    assert rng.next() == oracles.splitmix64_stream(3, 1)[0]
+
+
+SHUFFLE_SIZES = (0, 1, 2, 3, 1023, 1024, 1025, 1026, 5000)
+SHUFFLE_SEEDS = (0, 1, 7, 2**64 - 1)
+
+
+def test_shuffled_equals_the_fisher_yates_oracle():
+    for n in SHUFFLE_SIZES:
+        for seed in SHUFFLE_SEEDS:
+            assert gen_shuffled(n, seed) == oracles.fisher_yates(list(range(n)), seed), (n, seed)
+
+
+def test_kdistinct_equals_the_fisher_yates_oracle():
+    for n in SHUFFLE_SIZES:
+        for seed in SHUFFLE_SEEDS:
+            ramps = [i % 16 for i in range(n)]
+            assert gen_kdistinct(n, 16, seed) == oracles.fisher_yates(ramps, seed), (n, seed)
