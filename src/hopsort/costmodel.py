@@ -4,6 +4,13 @@
 relinks as well as inspections -- so it tracks the *trend* of measured
 comparison counts (flat in n per element once k is fixed) rather than their
 magnitude.  Reports print both and never conflate them.
+
+It is also an upper bound on the hop engine's comparison count for any input
+of length n with k distinct keys.  That bound is checked, not proven:
+``tests/test_properties.py`` hunts for an input above it with random,
+sorted, descending and sawtooth inputs up to n = 300 and with seeded swap
+hill-climbs, and has found none.  It is nearly tight at k = 1, where hop
+spends 2n - log2(n) - 2 for n a power of two against a ceiling of 2n - 1.
 """
 
 from __future__ import annotations

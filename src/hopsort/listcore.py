@@ -11,7 +11,7 @@ hop *fragments* (merges are allowed to leave the cover fragmented);
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 
 class HopError(ValueError):
@@ -24,6 +24,9 @@ class NotSortedError(ValueError):
 
 class Node:
     """List element: integer key, origin index, ``next`` link, ``hop`` link.
+
+    ``Node(key, origin)`` builds a single node.  ``from_keys``, the bulk
+    builder, skips ``__init__`` and sets the same four slots itself.
 
     A node carries no sort state beyond its links: the hop engine's
     head-tie marks live in the ``ComparisonCounter`` of the sort that made
@@ -85,25 +88,33 @@ class Verdict:
 _PASS = Verdict(True)
 
 
-def from_keys(keys: Sequence[int]) -> SortList:
+def from_keys(keys: Iterable[int]) -> SortList:
     """Build a list whose i-th node has key ``keys[i]`` and origin ``i``.
 
-    Runs are never pre-scanned: every node starts with ``hop`` pointing at
-    itself, and equal-key runs only coalesce later, during merges.  Keys
-    must be totally ordered (``int``, say) for the sort to be meaningful;
-    they are not checked, since a check would cost every build.
+    ``keys`` may be any iterable; it is read once.  Runs are never
+    pre-scanned: every node starts with ``hop`` pointing at itself, and
+    equal-key runs only coalesce later, during merges.  Keys must be totally
+    ordered (``int``, say) for the sort to be meaningful; they are not
+    checked, since a check would cost every build.
+
+    Nodes are allocated with ``object.__new__`` and their four slots stored
+    here, without calling ``Node.__init__``: on CPython 3.11 the class call
+    and its Python frame are about 40% of a build.
     """
-    indexed = enumerate(keys)
-    first = next(indexed, None)
-    if first is None:
-        return SortList()
-    head = prev = Node(first[1], 0)
-    i = 0
-    for i, key in indexed:
-        node = Node(key, i)
+    new = object.__new__
+    # a throwaway node to link the first one from, so the loop needs no
+    # first-node case; its slots stay unset and it is dropped on return
+    before = prev = new(Node)
+    i = -1
+    for i, key in enumerate(keys):
+        node = new(Node)
+        node.key = key
+        node.origin = i
+        node.hop = node
         prev.next = node
         prev = node
-    return SortList(head, i + 1)
+    prev.next = None
+    return SortList(before.next, i + 1)
 
 
 def to_keys(lst: SortList) -> list[int]:

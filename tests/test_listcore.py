@@ -31,6 +31,42 @@ def test_from_keys_builds_chain_with_self_hops():
     assert ns[-1].next is None
 
 
+def scrambled(n):
+    return [(i * 7919) % 1009 - 500 for i in range(n)]
+
+
+# from_keys must accept any iterable, read once; one of each kind
+BUILD_INPUTS = {
+    "list": scrambled,
+    "tuple": lambda n: tuple(scrambled(n)),
+    "range": range,
+    "generator": lambda n: (key for key in scrambled(n)),
+}
+
+
+@pytest.mark.parametrize("shape", BUILD_INPUTS)
+@pytest.mark.parametrize("n", (0, 1, 2, 3, 257, 1025))
+def test_from_keys_nodes_equal_hand_built_nodes_slot_for_slot(shape, n):
+    # from_keys skips Node.__init__; every slot it leaves must read as the
+    # constructor's would, apart from the links that chain the nodes
+    lst = from_keys(BUILD_INPUTS[shape](n))
+    keys = list(BUILD_INPUTS[shape](n))
+    assert lst.length == n
+    ns = nodes_of(lst)
+    assert len(ns) == n
+    for i, (node, key) in enumerate(zip(ns, keys)):
+        assert type(node) is Node
+        following = ns[i + 1] if i + 1 < n else None
+        expected = Node(key, i)
+        for name in Node.__slots__:
+            if name == "hop":
+                assert node.hop is node
+            elif name == "next":
+                assert node.next is following
+            else:
+                assert getattr(node, name) == getattr(expected, name), name
+
+
 def test_from_keys_empty():
     lst = from_keys([])
     assert lst.head is None

@@ -1,6 +1,9 @@
 """Randomized properties: both engines against the reference sort, the
 array oracles, and the structural invariants."""
 
+import random
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,6 +23,8 @@ from hopsort import (
     sort_with_stats,
     to_keys,
 )
+from hopsort.costmodel import predicted_cost
+from hopsort.datasets import gen_sawtooth
 from hopsort.listcore import Node
 
 key_lists = st.lists(st.integers(min_value=0, max_value=15), max_size=200)
@@ -192,3 +197,56 @@ def test_audits_match_the_index_oracles_on_mutated_lists(data):
     verdict = check_sorted_stable(lst, keys)
     expected = oracles.sorted_stable_audit(lst.head, keys)
     assert (verdict.ok, verdict.reason, verdict.position) == expected
+
+
+def hop_count(keys):
+    return sort_with_stats(keys, MergeEngine.HOP)[1].comparisons
+
+
+# the cost model is an unproven upper bound on hop's count; these tests hunt
+# for an input above it
+CEILING_SHAPES = {
+    "random": list,
+    "sorted": sorted,
+    "descending": lambda keys: sorted(keys, reverse=True),
+    "sawtooth": lambda keys: gen_sawtooth(len(keys), len(set(keys))),
+}
+
+
+@st.composite
+def ceiling_inputs(draw):
+    # n and k drawn first, so long lists and k = 1 (where the ceiling is
+    # nearly tight) turn up as often as short ones; the keys come from a
+    # drawn seed, which is far cheaper to draw than n separate values
+    n = draw(st.integers(min_value=1, max_value=300))
+    k = draw(st.integers(min_value=1, max_value=n))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    return [rng.randrange(k) for _ in range(n)]
+
+
+@settings(max_examples=300)
+@given(ceiling_inputs(), st.sampled_from(list(CEILING_SHAPES)))
+def test_hop_count_stays_under_the_cost_model_ceiling(keys, shape):
+    keys = CEILING_SHAPES[shape](keys)
+    assert hop_count(keys) <= predicted_cost(len(keys), len(set(keys)))
+
+
+@pytest.mark.parametrize("n, k", [(64, 2), (64, 4), (256, 3)])
+def test_swap_hill_climb_finds_no_input_above_the_ceiling(n, k):
+    # climb towards hop's most expensive arrangement of a fixed multiset,
+    # keeping swaps that do not lower the count; every input it tries must
+    # stay at or under the ceiling
+    rng = random.Random(n * k)
+    keys = [i % k for i in range(n)]
+    rng.shuffle(keys)
+    limit = predicted_cost(n, k)
+    best = hop_count(keys)
+    for _ in range(2000):
+        i, j = rng.randrange(n), rng.randrange(n)
+        keys[i], keys[j] = keys[j], keys[i]
+        cost = hop_count(keys)
+        assert cost <= limit, keys
+        if cost >= best:
+            best = cost
+        else:
+            keys[i], keys[j] = keys[j], keys[i]
