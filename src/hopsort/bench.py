@@ -16,6 +16,8 @@ from .costmodel import predicted_cost
 from .datasets import DatasetKind, DatasetSpec, Rng64
 from .engines import MergeEngine, mergesort
 from .listcore import (
+    SortList,
+    _sorted_output_ok,
     check_hop_valid,
     check_sorted_stable,
     dispose,
@@ -226,6 +228,32 @@ class VerifySummary:
         return not self.failures
 
 
+def _name_faults(
+    out: SortList, keys: list[int], expected: list[int], distinct: int, name: str
+) -> list[str]:
+    """The problems the named checks report on an output that failed the
+    one-walk audit.
+
+    The hop audit runs first, since it is the one check that ends on a
+    cyclic chain: a cycle is reported alone.  Any other hop fault skips the
+    distinct-key count, which would raise HopError on it.
+    """
+    hops = check_hop_valid(out)
+    if hops.reason == "cycle":
+        return [f"{name}: hop audit cycle at position {hops.position}"]
+    problems = []
+    if to_keys(out) != expected:
+        problems.append(f"{name}: output differs from reference sort")
+    verdict = check_sorted_stable(out, keys)
+    if not verdict:
+        problems.append(f"{name}: {verdict.reason} at position {verdict.position}")
+    if not hops:
+        problems.append(f"{name}: hop audit {hops.reason} at position {hops.position}")
+    elif distinct_key_count(out) != distinct:
+        problems.append(f"{name}: distinct-key count mismatch")
+    return problems
+
+
 def run_verify(
     trials: int, max_n: int, max_key: int, base_seed: int, budget: int = DEFAULT_BUDGET
 ) -> VerifySummary:
@@ -237,6 +265,13 @@ def run_verify(
     audit, the distinct count matches brute force, and the hop engine never
     inspects more pairs than the baseline.  A sweep whose trials * max_n
     exceeds ``budget`` raises ConfigError before the first trial.
+
+    Each output is audited in one walk (``listcore._sorted_output_ok``);
+    only an output that fails it goes through the named checks
+    (``to_keys``, ``check_sorted_stable``, ``check_hop_valid``), whose
+    verdicts name the fault.  A cyclic output is reported as a hop-audit
+    cycle alone, and an output whose hops fail the audit skips the
+    distinct-key count, so every trial ends and reports instead of raising.
     """
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
@@ -266,19 +301,9 @@ def run_verify(
             for eng in (MergeEngine.BASELINE, MergeEngine.HOP):
                 out, stats = mergesort(from_keys(keys), eng)
                 counts[eng] = stats.comparisons
-                if to_keys(out) != expected:
-                    problems.append(f"{eng.value}: output differs from reference sort")
-                verdict = check_sorted_stable(out, keys)
-                if not verdict:
-                    problems.append(
-                        f"{eng.value}: {verdict.reason} at position {verdict.position}"
-                    )
-                verdict = check_hop_valid(out)
-                if not verdict:
-                    problems.append(
-                        f"{eng.value}: hop audit {verdict.reason} at position {verdict.position}"
-                    )
-                if distinct_key_count(out) != distinct:
+                if not _sorted_output_ok(out, expected):
+                    problems += _name_faults(out, keys, expected, distinct, eng.value)
+                elif distinct_key_count(out) != distinct:
                     problems.append(f"{eng.value}: distinct-key count mismatch")
                 dispose(out)
             if counts[MergeEngine.HOP] > counts[MergeEngine.BASELINE]:

@@ -339,3 +339,40 @@ def check_sorted_stable(lst: SortList, original: Sequence[int]) -> Verdict:
     if keys != sorted(original):
         return Verdict(False, "multiset", None)
     return _PASS
+
+
+def _sorted_output_ok(lst: SortList, expected: Sequence[int]) -> bool:
+    """True exactly when ``to_keys(lst) == expected``,
+    ``check_sorted_stable(lst, original)`` and ``check_hop_valid(lst)`` all
+    pass, where ``expected`` is ``sorted(original)``; False on a cyclic
+    chain.  It stands for those three checks, so it must change with them.
+
+    One walk of at most ``len(expected)`` nodes: each key must equal
+    ``expected[i]`` (order, multiset and read-back in one test), origins
+    must rise strictly inside equal keys, and ``check_hop_valid``'s pending
+    hop targets must all be reached before the key changes.  At the end the
+    stored length must be ``len(expected)``, the chain must end, and no
+    target may be pending.  It names no fault; the three checks do that.
+    """
+    pending: set[Node] = set()
+    prev_key = None
+    prev_origin = 0
+    node = lst.head
+    for key in expected:
+        if node is None or node.key != key:
+            return False
+        origin = node.origin
+        if key == prev_key:
+            if origin <= prev_origin:
+                return False
+            if pending:
+                pending.discard(node)
+        elif pending:
+            return False
+        hop = node.hop
+        if hop is not node:
+            pending.add(hop)
+        prev_key = key
+        prev_origin = origin
+        node = node.next
+    return node is None and not pending and lst.length == len(expected)

@@ -21,6 +21,7 @@ from hopsort.bench import (
     run_verify,
 )
 from hopsort.datasets import DatasetKind, Rng64
+from hopsort.engines import SortStats
 from hopsort.listcore import from_keys
 
 BASELINE_ONLY = (MergeEngine.BASELINE,)
@@ -231,6 +232,170 @@ def test_run_verify_budget_is_inclusive():
     assert run_verify(trials=4, max_n=8, max_key=2, base_seed=1, budget=32).ok
 
 
+def _drawn_keys(trials, max_n, max_key, base_seed):
+    """The key lists run_verify sorts, drawn one next() at a time."""
+    drawn = []
+    for trial in range(trials):
+        rng = Rng64(base_seed + trial)
+        n = rng.next() % (max_n + 1)
+        drawn.append([rng.next() % max_key for _ in range(n)])
+    return drawn
+
+
+# every run_verify failure test sorts these inputs; small keys force duplicates
+FAULT_SWEEP = dict(trials=30, max_n=24, max_key=3, base_seed=1)
+FAULT_KEYS = _drawn_keys(**FAULT_SWEEP)
+
+
+def _verify_mangled(monkeypatch, mangle):
+    """run_verify over FAULT_SWEEP with ``mangle`` applied to each sorted output."""
+    real = bench.mergesort
+
+    def mergesort(lst, engine):
+        out, stats = real(lst, engine)
+        mangle(out)
+        return out, stats
+
+    monkeypatch.setattr(bench, "mergesort", mergesort)
+    summary = run_verify(**FAULT_SWEEP)
+    assert summary.passed + len(summary.failures) == summary.trials
+    return dict(summary.failures)
+
+
+def _swap_first_equal_pair(lst):
+    # the shape of perfbench's broken sort: two adjacent equal keys trade places
+    prev, node = None, lst.head
+    while node is not None and node.next is not None:
+        nxt = node.next
+        if nxt.key == node.key:
+            node.next, nxt.next = nxt.next, node
+            if prev is None:
+                lst.head = nxt
+            else:
+                prev.next = nxt
+            return
+        prev, node = node, nxt
+
+
+def _drop_last_node(lst):
+    if lst.head is None or lst.head.next is None:
+        lst.head = None
+        return
+    node = lst.head
+    while node.next.next is not None:
+        node = node.next
+    node.next = None
+
+
+def _last_node(lst):
+    node = lst.head
+    while node.next is not None:
+        node = node.next
+    return node
+
+
+def _hop_across_a_key_change(lst):
+    if lst.head is not None:
+        last = _last_node(lst)
+        if last.key != lst.head.key:
+            lst.head.hop = last
+
+
+def test_run_verify_reports_a_stability_fault(monkeypatch):
+    failures = _verify_mangled(monkeypatch, _swap_first_equal_pair)
+    with_equal_keys = [t for t, keys in enumerate(FAULT_KEYS) if len(set(keys)) < len(keys)]
+    assert sorted(failures) == with_equal_keys
+    for message in failures.values():
+        assert "baseline: stability at position" in message
+        assert "hop: stability at position" in message
+
+
+def test_run_verify_reports_a_dropped_node(monkeypatch):
+    failures = _verify_mangled(monkeypatch, _drop_last_node)
+    assert sorted(failures) == [t for t, keys in enumerate(FAULT_KEYS) if keys]
+    for trial, message in failures.items():
+        for eng in ("baseline", "hop"):
+            assert f"{eng}: output differs from reference sort" in message
+            assert f"{eng}: multiset at position None" in message
+            assert f"{eng}: hop audit length at position {len(FAULT_KEYS[trial]) - 1}" in message
+
+
+def test_run_verify_reports_a_hop_across_a_key_change_without_raising(monkeypatch):
+    # the distinct-key count would raise HopError on this output; it is skipped
+    failures = _verify_mangled(monkeypatch, _hop_across_a_key_change)
+    assert sorted(failures) == [t for t, keys in enumerate(FAULT_KEYS) if len(set(keys)) > 1]
+    assert set(failures.values()) == {
+        "baseline: hop audit hop-key at position 0; hop: hop audit hop-key at position 0"
+    }
+
+
+CYCLIC_VERIFY = """
+from hopsort import bench
+
+real = bench.mergesort
+
+
+def mergesort(lst, engine):
+    out, stats = real(lst, engine)
+    if out.head is not None:
+        node = out.head
+        while node.next is not None:
+            node = node.next
+        node.next = out.head  # the last node links back to the first
+    return out, stats
+
+
+bench.mergesort = mergesort
+for trial, message in bench.run_verify(**{sweep}).failures:
+    print(trial, message, sep=":")
+"""
+
+
+def test_run_verify_ends_and_reports_a_cyclic_output():
+    # a subprocess with a timeout, so a walk that never ends fails the test
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", CYCLIC_VERIFY.format(sweep=FAULT_SWEEP)],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [
+        f"{t}:baseline: hop audit cycle at position {len(keys)}; "
+        f"hop: hop audit cycle at position {len(keys)}"
+        for t, keys in enumerate(FAULT_KEYS)
+        if keys
+    ]
+
+
+def test_run_verify_reports_a_wrong_distinct_count(monkeypatch):
+    monkeypatch.setattr(bench, "distinct_key_count", lambda lst: -1)
+    summary = run_verify(**FAULT_SWEEP)
+    assert summary.passed == 0
+    assert set(dict(summary.failures).values()) == {
+        "baseline: distinct-key count mismatch; hop: distinct-key count mismatch"
+    }
+
+
+def test_run_verify_counts_a_dominance_failure(monkeypatch):
+    real = bench.mergesort
+
+    def mergesort(lst, engine):
+        out, stats = real(lst, engine)
+        if engine is MergeEngine.HOP:
+            stats = SortStats(stats.comparisons + 1000)  # past any baseline count here
+        return out, stats
+
+    monkeypatch.setattr(bench, "mergesort", mergesort)
+    summary = run_verify(**FAULT_SWEEP)
+    assert summary.passed == 0
+    assert summary.dominance_failures == FAULT_SWEEP["trials"]
+    for _, message in summary.failures:
+        assert message.startswith("dominance: hop ")
+
+
 def test_run_model_rows():
     rows = run_model(k=4, exp_min=2, exp_max=4)
     assert [(r.n, r.k, r.predicted) for r in rows] == [(4, 4, 12.0), (8, 4, 28.0), (16, 4, 60.0)]
@@ -417,10 +582,7 @@ def test_run_verify_sorts_the_scalar_drawn_inputs(monkeypatch):
     monkeypatch.setattr(bench, "from_keys", recording_from_keys)
     assert run_verify(50, 64, 5, 9).ok
     expected = []
-    for trial in range(50):
-        rng = Rng64(9 + trial)
-        n = rng.next() % 65
-        keys = [rng.next() % 5 for _ in range(n)]
+    for keys in _drawn_keys(50, 64, 5, 9):
         expected += [keys, keys]  # one build per engine
     assert built == expected
     assert any(len(keys) > 32 for keys in built)

@@ -1,5 +1,7 @@
 """List construction, hop traversal, and the invariant checkers."""
 
+import random
+
 import pytest
 
 from hopsort import (
@@ -11,9 +13,10 @@ from hopsort import (
     distinct_key_count,
     from_keys,
     hop_walk,
+    mergesort,
     to_keys,
 )
-from hopsort.listcore import Node, SortList, dispose
+from hopsort.listcore import Node, SortList, _sorted_output_ok, dispose
 
 
 def nodes_of(lst):
@@ -296,3 +299,57 @@ def test_dispose_severs_all_links():
 def test_sortlist_repr_is_bounded():
     text = repr(from_keys(list(range(100))))
     assert "..." in text and "length=100" in text
+
+
+def _mutate(lst, rng):
+    """One random fault of an engine output, or none; returns its kind."""
+    ns = nodes_of(lst)
+    kind = rng.choice(("none", "hop", "key", "origin", "length", "next"))
+    if kind == "length":
+        lst.length += rng.choice((-1, 1))
+    elif not ns:
+        kind = "none"
+    elif kind == "hop":
+        # anywhere in the chain, onto the node itself, or off the chain
+        ns[rng.randrange(len(ns))].hop = rng.choice(ns + [Node(rng.randrange(5))])
+    elif kind in ("key", "origin"):
+        i = rng.randrange(len(ns))
+        # a neighbour half the time, so equal keys are often involved
+        j = min(i + 1, len(ns) - 1) if rng.random() < 0.5 else rng.randrange(len(ns))
+        a, b = ns[i], ns[j]
+        if kind == "key":
+            a.key, b.key = b.key, a.key
+        else:
+            a.origin, b.origin = b.origin, a.origin
+    elif kind == "next":
+        # back (a cycle), forward (skips nodes), cut, or off the chain
+        ns[rng.randrange(len(ns))].next = rng.choice(ns + [None, Node(rng.randrange(5))])
+    return kind
+
+
+def test_sorted_output_ok_equals_the_three_checks_it_stands_for():
+    # run_verify trusts the one-walk audit in place of to_keys ==
+    # expected, check_sorted_stable and check_hop_valid, so the two must
+    # agree on every output, faulty ones included
+    rng = random.Random(20201)
+    verdicts = {True: 0, False: 0}
+    cycles = 0
+    for _ in range(5000):
+        original = [rng.randrange(rng.randrange(1, 6)) for _ in range(rng.randrange(12))]
+        expected = sorted(original)
+        lst, _ = mergesort(from_keys(original), rng.choice(("baseline", "hop")))
+        kind = _mutate(lst, rng)
+        hops = check_hop_valid(lst)
+        if hops.reason == "cycle":
+            # the named checks but this one would never end on a cycle
+            cycles += 1
+            assert not _sorted_output_ok(lst, expected), kind
+            continue
+        want = (
+            to_keys(lst) == expected
+            and bool(check_sorted_stable(lst, original))
+            and bool(hops)
+        )
+        assert _sorted_output_ok(lst, expected) == want, (kind, original, to_keys(lst))
+        verdicts[want] += 1
+    assert verdicts[True] > 500 and verdicts[False] > 500 and cycles > 100
