@@ -19,7 +19,7 @@ class HopError(ValueError):
 
 
 class NotSortedError(ValueError):
-    """A checked operation required nondecreasing keys and found a drop."""
+    """An operation that requires nondecreasing keys found a drop."""
 
 
 class Node:
@@ -149,8 +149,8 @@ def hop_walk(lst: SortList) -> list[Node]:
 
     On a well-formed list this touches one node per hop fragment.  Raises
     HopError if a visited node's hop target carries a different key, or if
-    a hop sends the walk to an already-visited node (the footprint of a
-    backward hop).
+    the walk comes back to an already-visited node (the footprint of a
+    backward hop or of a cycle in the ``next`` chain).
     """
     walk: list[Node] = []
     seen: set[int] = set()
@@ -158,7 +158,8 @@ def hop_walk(lst: SortList) -> list[Node]:
     while node is not None:
         if id(node) in seen:
             raise HopError(
-                f"walk revisited a node at step {len(walk)}; some hop points backward"
+                f"walk revisited a node at step {len(walk)}; "
+                "a hop points backward or the chain cycles"
             )
         seen.add(id(node))
         walk.append(node)
@@ -172,67 +173,59 @@ def hop_walk(lst: SortList) -> list[Node]:
     return walk
 
 
-def distinct_key_count(lst: SortList, check: bool = False) -> int:
+def distinct_key_count(lst: SortList) -> int:
     """Number of distinct keys in a sorted list, read off the hop walk.
 
     The walk touches at least one node per maximal segment and never mixes
-    keys inside a fragment, so counting key changes along it is exact --
-    provided the list is sorted.  On an unsorted list the result means
-    nothing; pass ``check=True`` to scan the chain first and raise
-    NotSortedError instead of returning garbage.  Past ``lst.length`` steps
-    that scan remembers the nodes it visits and stops at the first one it
-    meets again, so it ends on a cyclic chain, which the count below then
-    handles as it does without the check, and still reaches the end of an
-    acyclic chain longer than its stored length.
+    keys inside a fragment, so counting key changes along it is exact on a
+    sorted list.  Each key change is also tested for a drop, and an
+    unsorted list raises NotSortedError.  If the hops pass
+    ``check_hop_valid``, every adjacent pair of nodes sits inside one
+    fragment (equal keys) or is one walk step, so the walk meets every drop;
+    a drop under a hop that crosses a key change is a hop fault, which only
+    ``check_hop_valid`` sees.
 
-    The count is one bounded walk of at most ``lst.length`` steps that
-    builds nothing.  A walk that overruns the bound (a backward hop loops
-    it) or meets a hop onto another key falls back to ``hop_walk``, so such
-    a list raises exactly the HopError ``hop_walk`` would.
+    One walk of at most ``lst.length`` steps that builds nothing.  A drop,
+    an overrun (a backward hop, a cycle or an understated length) or a hop
+    onto another key hands the list to ``_count_walk_keys``, so a broken
+    hop raises ``hop_walk``'s HopError ahead of any drop.
     """
-    if check:
-        seen: set[Node] = set()
-        prev: int | None = None
-        pos = 0
-        node = lst.head
-        while node is not None:
-            if pos >= lst.length:  # >=, not ==: a negative stored length must end too
-                if node in seen:
-                    break
-                seen.add(node)
-            if prev is not None and node.key < prev:
-                raise NotSortedError(f"keys decrease at position {pos}")
-            prev = node.key
-            pos += 1
-            node = node.next
+    node = lst.head
+    if node is None:
+        return 0
     limit = lst.length
     steps = 0
-    count = 0
-    prev_key = 0
-    node = lst.head
+    count = 1
+    prev_key = node.key
     while node is not None:
         if steps >= limit:
-            return _count_walk_keys(lst)
+            break
         key = node.key
         target = node.hop
         if target.key != key:
-            return _count_walk_keys(lst)
-        if count == 0 or key != prev_key:
+            break
+        if key != prev_key:
+            if key < prev_key:
+                break
             count += 1
             prev_key = key
         steps += 1
         node = target.next
-    return count
+    else:
+        return count
+    return _count_walk_keys(lst)
 
 
 def _count_walk_keys(lst: SortList) -> int:
-    """Key changes along the materialised ``hop_walk``; raises its HopError."""
-    count = 0
-    prev_key = 0
-    for node in hop_walk(lst):
-        if count == 0 or node.key != prev_key:
+    """Key changes along the materialised ``hop_walk``; raises its HopError,
+    else NotSortedError at the first walk step whose key drops."""
+    keys = [node.key for node in hop_walk(lst)]
+    count = 1 if keys else 0
+    for step in range(1, len(keys)):
+        if keys[step] != keys[step - 1]:
+            if keys[step] < keys[step - 1]:
+                raise NotSortedError(f"keys decrease at hop-walk step {step}")
             count += 1
-            prev_key = node.key
     return count
 
 

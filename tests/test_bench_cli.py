@@ -22,7 +22,7 @@ from hopsort.bench import (
 )
 from hopsort.datasets import DatasetKind, Rng64
 from hopsort.engines import SortStats
-from hopsort.listcore import from_keys
+from hopsort.listcore import from_keys, to_keys
 
 BASELINE_ONLY = (MergeEngine.BASELINE,)
 
@@ -327,6 +327,28 @@ def test_run_verify_reports_a_hop_across_a_key_change_without_raising(monkeypatc
     assert set(failures.values()) == {
         "baseline: hop audit hop-key at position 0; hop: hop audit hop-key at position 0"
     }
+
+
+def test_run_verify_reports_an_unsorted_output(monkeypatch):
+    # fresh self-hops pass the hop audit, so only the sortedness test keeps
+    # the distinct-key count, which would raise NotSortedError, from running
+    real = bench.mergesort
+
+    def mergesort(lst, engine):
+        out, stats = real(lst, engine)
+        return from_keys(to_keys(out)[::-1]), stats
+
+    monkeypatch.setattr(bench, "mergesort", mergesort)
+    summary = run_verify(**FAULT_SWEEP)
+    failures = dict(summary.failures)
+    assert sorted(failures) == [t for t, keys in enumerate(FAULT_KEYS) if len(set(keys)) > 1]
+    for trial, message in failures.items():
+        # descending keys first drop right after the run of the largest key
+        p = FAULT_KEYS[trial].count(max(FAULT_KEYS[trial]))
+        assert message == "; ".join(
+            f"{eng}: output differs from reference sort; {eng}: order at position {p}"
+            for eng in ("baseline", "hop")
+        )
 
 
 CYCLIC_VERIFY = """

@@ -119,16 +119,21 @@ def test_distinct_key_count_on_sorted_runs():
     assert distinct_key_count(from_keys(list(range(10)))) == 10
 
 
-def test_distinct_key_count_check_mode_rejects_unsorted():
-    with pytest.raises(NotSortedError):
-        distinct_key_count(from_keys([2, 1]), check=True)
-    # without the check the call completes, but the number is meaningless
-    distinct_key_count(from_keys([2, 1]))
+def test_distinct_key_count_rejects_unsorted():
+    with pytest.raises(NotSortedError, match="step 1"):
+        distinct_key_count(from_keys([2, 1]))
     # a drop past an understated stored length is still found
     lst = from_keys([1, 2, 0])
     lst.length = 1
-    with pytest.raises(NotSortedError, match="position 2"):
-        distinct_key_count(lst, check=True)
+    with pytest.raises(NotSortedError, match="step 2"):
+        distinct_key_count(lst)
+    # the head's hop covers the first three nodes, so the drop at position 3
+    # is the walk's step 1
+    lst = from_keys([1, 1, 1, 0])
+    lst.head.hop = nodes_of(lst)[2]
+    with pytest.raises(NotSortedError) as exc:
+        distinct_key_count(lst)
+    assert str(exc.value) == "keys decrease at hop-walk step 1"
 
 
 def test_check_hop_valid_accepts_fresh_and_normalized_lists():
@@ -226,7 +231,9 @@ def test_distinct_key_count_raises_on_a_backward_hop():
     ns[1].hop = ns[0]
     with pytest.raises(HopError) as exc:
         distinct_key_count(lst)
-    assert str(exc.value) == "walk revisited a node at step 2; some hop points backward"
+    assert str(exc.value) == (
+        "walk revisited a node at step 2; a hop points backward or the chain cycles"
+    )
 
 
 def test_distinct_key_count_raises_on_a_key_crossing_hop():
@@ -236,21 +243,28 @@ def test_distinct_key_count_raises_on_a_key_crossing_hop():
     with pytest.raises(HopError) as exc:
         distinct_key_count(lst)
     assert str(exc.value) == "hop at walk step 1 jumps from key 1 to key 2"
+    # the walk drops from 2 to 1 at step 1, but the hop fault at step 2 wins
+    lst = from_keys([2, 1, 1, 3])
+    ns = nodes_of(lst)
+    ns[2].hop = ns[3]
+    with pytest.raises(HopError) as exc:
+        distinct_key_count(lst)
+    assert str(exc.value) == "hop at walk step 2 jumps from key 1 to key 3"
 
 
 @pytest.mark.parametrize("length", [2, -1])
-def test_distinct_key_count_check_mode_ends_on_a_cycle(length):
-    # the keys never decrease around the cycle, so only a bound ends the
-    # check walk; the count walk then raises what it raises without the check
+def test_distinct_key_count_ends_on_a_cycle(length):
+    # the keys never decrease around the cycle, so only the bound ends the
+    # count walk, and hop_walk names the revisit
     lst = from_keys([1, 1])
     ns = nodes_of(lst)
     ns[1].next = ns[0]
     lst.length = length
-    message = "walk revisited a node at step 2; some hop points backward"
-    for check in (False, True):
-        with pytest.raises(HopError) as exc:
-            distinct_key_count(lst, check=check)
-        assert str(exc.value) == message
+    with pytest.raises(HopError) as exc:
+        distinct_key_count(lst)
+    assert str(exc.value) == (
+        "walk revisited a node at step 2; a hop points backward or the chain cycles"
+    )
 
 
 def test_distinct_key_count_survives_an_understated_length():

@@ -11,6 +11,7 @@ import oracles
 from hopsort import (
     ComparisonCounter,
     MergeEngine,
+    NotSortedError,
     SortList,
     check_hop_valid,
     check_sorted_stable,
@@ -79,6 +80,12 @@ def test_distinct_count_equals_brute_force(keys):
     for engine in MergeEngine:
         lst, _ = mergesort(from_keys(keys), engine)
         assert distinct_key_count(lst) == len(set(keys))
+    # the unsorted input itself: a count only when the keys never drop
+    if keys != sorted(keys):
+        with pytest.raises(NotSortedError):
+            distinct_key_count(from_keys(keys))
+    else:
+        assert distinct_key_count(from_keys(keys)) == len(set(keys))
 
 
 @given(key_lists)
