@@ -9,11 +9,12 @@ directly comparable.
 
 from __future__ import annotations
 
+import contextlib
 import gc
 from dataclasses import dataclass, field
 
 from .costmodel import predicted_cost
-from .datasets import DatasetKind, DatasetSpec, Rng64
+from .datasets import DatasetKind, Rng64, generate
 from .engines import MergeEngine, mergesort
 from .listcore import (
     SortList,
@@ -48,6 +49,19 @@ MODEL_COLUMNS = ("n", "k", "predicted", "predicted_per_element")
 
 class ConfigError(ValueError):
     """Invalid or refused run configuration."""
+
+
+@contextlib.contextmanager
+def _gc_paused():
+    """Collector off for a sweep, then back as it was: node graphs are large
+    and disposed by hand, so a collection would only walk them."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def _check_range(exp_min: int, exp_max: int, k: int) -> None:
@@ -145,15 +159,12 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     rows: list[ReportRow] = []
     notes: list[str] = []
     samples: dict[tuple[int, str], list[int]] = {}
-    gc_was_enabled = gc.isenabled()
-    gc.disable()  # node graphs are huge and disposed by hand; keep sweeps out of the timings
-    try:
+    with _gc_paused():
         for exp in range(config.exp_min, config.exp_max + 1):
             n = 1 << exp
             counts: dict[MergeEngine, list[int]] = {eng: [] for eng in config.engines}
             for trial in range(config.row_trials):
-                spec = DatasetSpec(config.dataset, n, config.k, config.base_seed + trial)
-                keys = spec.generate()
+                keys = generate(config.dataset, n, config.k, config.base_seed + trial)
                 for eng in config.engines:
                     lst, stats = mergesort(from_keys(keys), eng)
                     counts[eng].append(stats.comparisons)
@@ -176,9 +187,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
                     )
                 )
                 samples[(n, eng.value)] = vals
-    finally:
-        if gc_was_enabled:
-            gc.enable()
     if (
         config.dataset is DatasetKind.SAWTOOTH
         and config.k == 1024
@@ -219,9 +227,12 @@ def render_table(rows: list, columns: tuple[str, ...], fmt: str = "tsv") -> str:
 @dataclass
 class VerifySummary:
     trials: int
-    passed: int
     failures: list[tuple[int, str]] = field(default_factory=list)
     dominance_failures: int = 0
+
+    @property
+    def passed(self) -> int:
+        return self.trials - len(self.failures)
 
     @property
     def ok(self) -> bool:
@@ -287,10 +298,8 @@ def run_verify(
             f"refusing verify: trials*max_n = {trials * max_n} exceeds the "
             f"budget of {budget}; raise --budget to opt in"
         )
-    summary = VerifySummary(trials=trials, passed=0)
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
+    summary = VerifySummary(trials=trials)
+    with _gc_paused():
         for trial in range(trials):
             rng = Rng64(base_seed + trial)
             n = rng.next() % (max_n + 1)
@@ -315,11 +324,6 @@ def run_verify(
                 )
             if problems:
                 summary.failures.append((trial, "; ".join(problems)))
-            else:
-                summary.passed += 1
-    finally:
-        if gc_was_enabled:
-            gc.enable()
     return summary
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 import enum
 import sys
 from array import array
-from dataclasses import dataclass
 from operator import mod
 
 _MASK64 = (1 << 64) - 1
@@ -93,21 +92,14 @@ class DatasetKind(enum.Enum):
     KDISTINCT = "kdistinct"
 
 
-@dataclass(frozen=True)
-class DatasetSpec:
-    """Fully determines one input sequence."""
-
-    kind: DatasetKind
-    n: int
-    k: int = 1
-    seed: int = 0
-
-    def generate(self) -> list[int]:
-        if self.kind is DatasetKind.SHUFFLED:
-            return gen_shuffled(self.n, self.seed)
-        if self.kind is DatasetKind.SAWTOOTH:
-            return gen_sawtooth(self.n, self.k)
-        return gen_kdistinct(self.n, self.k, self.seed)
+def generate(kind: DatasetKind, n: int, k: int, seed: int) -> list[int]:
+    """The one input sequence that ``(kind, n, k, seed)`` pins down; sawtooth
+    ignores ``seed`` and shuffled ignores ``k``."""
+    if kind is DatasetKind.SHUFFLED:
+        return gen_shuffled(n, seed)
+    if kind is DatasetKind.SAWTOOTH:
+        return gen_sawtooth(n, k)
+    return gen_kdistinct(n, k, seed)
 
 
 def _fisher_yates(values: list[int], rng: Rng64) -> list[int]:

@@ -46,7 +46,12 @@ class Node:
 
 
 class SortList:
-    """Handle to an acyclic, nil-terminated chain of nodes."""
+    """Handle to an acyclic, nil-terminated chain of nodes.
+
+    ``mergesort`` on a cyclic chain never returns.  A sort that raises (a
+    key comparison that fails, say) leaves the chain partly relinked and
+    ``length`` stale: rebuild the list from the original keys.
+    """
 
     __slots__ = ("head", "length")
 
@@ -81,11 +86,6 @@ class Verdict:
 
     def __bool__(self) -> bool:
         return self.ok
-
-
-# every passing check returns this one frozen verdict, so an audit of a tiny
-# list does not pay for building one per check
-_PASS = Verdict(True)
 
 
 def from_keys(keys: Iterable[int]) -> SortList:
@@ -153,15 +153,15 @@ def hop_walk(lst: SortList) -> list[Node]:
     backward hop or of a cycle in the ``next`` chain).
     """
     walk: list[Node] = []
-    seen: set[int] = set()
+    seen: set[Node] = set()
     node = lst.head
     while node is not None:
-        if id(node) in seen:
+        if node in seen:
             raise HopError(
                 f"walk revisited a node at step {len(walk)}; "
                 "a hop points backward or the chain cycles"
             )
-        seen.add(id(node))
+        seen.add(node)
         walk.append(node)
         target = node.hop
         if target.key != node.key:
@@ -264,7 +264,7 @@ def check_hop_valid(lst: SortList) -> Verdict:
         node = node.next
     if pending or count != limit:
         return _diagnose_hops(lst)
-    return _PASS
+    return Verdict(True)
 
 
 def _diagnose_hops(lst: SortList) -> Verdict:
@@ -272,17 +272,17 @@ def _diagnose_hops(lst: SortList) -> Verdict:
     length mismatch, then the first node whose hop escapes the chain, points
     backward or crosses a key change."""
     nodes: list[Node] = []
-    index: dict[int, int] = {}
+    index: dict[Node, int] = {}
     seg_of: list[int] = []
     seg = 0
     prev_key: int | None = None
     node = lst.head
     while node is not None:
-        if id(node) in index:
+        if node in index:
             return Verdict(False, "cycle", len(nodes))
         if prev_key is not None and node.key != prev_key:
             seg += 1
-        index[id(node)] = len(nodes)
+        index[node] = len(nodes)
         nodes.append(node)
         seg_of.append(seg)
         prev_key = node.key
@@ -290,7 +290,7 @@ def _diagnose_hops(lst: SortList) -> Verdict:
     if len(nodes) != lst.length:
         return Verdict(False, "length", len(nodes))
     for i, node in enumerate(nodes):
-        j = index.get(id(node.hop))
+        j = index.get(node.hop)
         if j is None:
             return Verdict(False, "hop-escape", i)
         if j < i:
@@ -298,7 +298,7 @@ def _diagnose_hops(lst: SortList) -> Verdict:
         if seg_of[j] != seg_of[i]:
             # same chain, forward, but the stretch [i..j] changes key somewhere
             return Verdict(False, "hop-key", i)
-    return _PASS
+    return Verdict(True)
 
 
 def check_sorted_stable(lst: SortList, original: Sequence[int]) -> Verdict:
@@ -331,7 +331,7 @@ def check_sorted_stable(lst: SortList, original: Sequence[int]) -> Verdict:
             node = node.next
     if keys != sorted(original):
         return Verdict(False, "multiset", None)
-    return _PASS
+    return Verdict(True)
 
 
 def _sorted_output_ok(lst: SortList, expected: Sequence[int]) -> bool:

@@ -1,5 +1,6 @@
 """Experiment runner, report rendering, verify sweep, and the CLI surface."""
 
+import gc
 import os
 import subprocess
 import sys
@@ -232,6 +233,40 @@ def test_run_verify_budget_is_inclusive():
     assert run_verify(trials=4, max_n=8, max_key=2, base_seed=1, budget=32).ok
 
 
+class _SortError(Exception):
+    pass
+
+
+def test_sweeps_leave_the_collector_as_they_found_it(monkeypatch):
+    sweeps = (
+        lambda: run_experiment(sawtooth_config(exp_min=3, exp_max=3)),
+        lambda: run_verify(5, 8, 3, 1),
+    )
+    seen_during_sort = []
+
+    def failing_sort(lst, engine):
+        seen_during_sort.append(gc.isenabled())
+        raise _SortError
+
+    was_enabled = gc.isenabled()
+    try:
+        for enabled in (True, False):
+            for sweep in sweeps:
+                gc.enable() if enabled else gc.disable()
+                sweep()
+                assert gc.isenabled() is enabled
+        monkeypatch.setattr(bench, "mergesort", failing_sort)
+        for enabled in (True, False):
+            for sweep in sweeps:
+                gc.enable() if enabled else gc.disable()
+                with pytest.raises(_SortError):
+                    sweep()
+                assert gc.isenabled() is enabled
+        assert seen_during_sort == [False] * 4
+    finally:
+        gc.enable() if was_enabled else gc.disable()
+
+
 def _drawn_keys(trials, max_n, max_key, base_seed):
     """The key lists run_verify sorts, drawn one next() at a time."""
     drawn = []
@@ -257,9 +292,7 @@ def _verify_mangled(monkeypatch, mangle):
         return out, stats
 
     monkeypatch.setattr(bench, "mergesort", mergesort)
-    summary = run_verify(**FAULT_SWEEP)
-    assert summary.passed + len(summary.failures) == summary.trials
-    return dict(summary.failures)
+    return dict(run_verify(**FAULT_SWEEP).failures)
 
 
 def _swap_first_equal_pair(lst):
@@ -546,7 +579,7 @@ def test_cli_verify_budget_refusal_exits_2(monkeypatch, capsys):
 
 
 def test_cli_verify_failure_exit_code(monkeypatch, capsys):
-    failing = VerifySummary(trials=3, passed=2, failures=[(1, "baseline: output differs")])
+    failing = VerifySummary(trials=3, failures=[(1, "baseline: output differs")])
     monkeypatch.setattr(cli, "run_verify", lambda *a, **kw: failing)
     rc = cli.main(["verify", "--trials", "3"])
     assert rc == 1

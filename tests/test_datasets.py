@@ -8,11 +8,11 @@ import oracles
 from hopsort import datasets
 from hopsort.datasets import (
     DatasetKind,
-    DatasetSpec,
     Rng64,
     gen_kdistinct,
     gen_sawtooth,
     gen_shuffled,
+    generate,
 )
 
 
@@ -76,10 +76,14 @@ def test_kdistinct_with_k_at_least_n_is_a_plain_shuffle():
     assert len(set(gen_kdistinct(64, 1024, seed=1))) == 64
 
 
-def test_dataset_spec_dispatch():
-    assert DatasetSpec(DatasetKind.SAWTOOTH, 6, k=3).generate() == [0, 1, 2, 0, 1, 2]
-    assert DatasetSpec(DatasetKind.SHUFFLED, 16, seed=2).generate() == gen_shuffled(16, 2)
-    assert DatasetSpec(DatasetKind.KDISTINCT, 16, k=4, seed=2).generate() == gen_kdistinct(16, 4, 2)
+def test_generate_dispatch():
+    assert generate(DatasetKind.SAWTOOTH, 6, 3, 0) == [0, 1, 2, 0, 1, 2]
+    # sawtooth ignores the seed, shuffled ignores k
+    assert generate(DatasetKind.SAWTOOTH, 6, 3, 9) == [0, 1, 2, 0, 1, 2]
+    assert generate(DatasetKind.SHUFFLED, 16, 1, 2) == gen_shuffled(16, 2)
+    assert generate(DatasetKind.SHUFFLED, 16, 1024, 2) == gen_shuffled(16, 2)
+    assert generate(DatasetKind.KDISTINCT, 16, 4, 2) == gen_kdistinct(16, 4, 2)
+    assert generate(DatasetKind.KDISTINCT, 16, 4, 3) == gen_kdistinct(16, 4, 3)
 
 
 LANES = datasets._LANES  # outputs per block of Rng64.take

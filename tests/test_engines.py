@@ -165,6 +165,19 @@ def test_mergesort_takes_only_a_list_and_an_engine():
     assert to_keys(lst) == [3, 1, 2]
 
 
+def test_raising_key_comparison_propagates():
+    # "a" against an int raises TypeError in the first merge that meets it
+    keys = [3, 1, "a", 2, 5, 0]
+    for engine in (BASELINE, HOP):
+        with pytest.raises(TypeError):
+            sort_with_stats(keys, engine)
+        # the handle README describes: only the chain's first run stays reachable
+        lst = from_keys(keys)
+        with pytest.raises(TypeError):
+            mergesort(lst, engine)
+        assert to_keys(lst) == [3] and lst.length == 6
+
+
 def test_sort_is_stable_on_duplicates():
     for engine in (BASELINE, HOP):
         lst, _ = mergesort(from_keys([2, 1, 2]), engine)
