@@ -14,7 +14,7 @@ import gc
 from dataclasses import dataclass, field
 
 from .costmodel import predicted_cost
-from .datasets import DatasetKind, Rng64, generate
+from .datasets import _MASK64, DatasetKind, Rng64, generate
 from .engines import MergeEngine, mergesort
 from .listcore import (
     SortList,
@@ -74,6 +74,15 @@ def _check_range(exp_min: int, exp_max: int, k: int) -> None:
         raise ConfigError(f"k must be >= 1, got {k}")
 
 
+def _check_seeds(base_seed: int, trials: int) -> None:
+    """Seeds base_seed .. base_seed+trials-1 must all lie in 0..2**64-1:
+    ``Rng64`` keeps a seed's low 64 bits, so one outside would silently run
+    another seed's stream."""
+    last = base_seed + trials - 1
+    if base_seed < 0 or last > _MASK64:
+        raise ConfigError(f"seeds {base_seed}..{last} leave the range 0..2**64-1")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """A sweep configuration; construction raises ConfigError for an invalid
@@ -104,6 +113,7 @@ class ExperimentConfig:
         _check_range(self.exp_min, self.exp_max, self.k)
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
+        _check_seeds(self.base_seed, self.row_trials)
         if self.budget < 1:
             raise ConfigError(f"budget must be >= 1, got {self.budget}")
         if not self.engines:
@@ -287,6 +297,7 @@ def run_verify(
     """
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
+    _check_seeds(base_seed, trials)
     if max_n < 0:
         raise ConfigError(f"max-n must be >= 0, got {max_n}")
     if max_key < 1:

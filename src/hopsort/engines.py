@@ -1,14 +1,18 @@
 """The two merge procedures and the shared bottom-up driver.
 
 Both engines run under the same driver: input nodes are detached two at
-a time and each pair is merged at once into a two-node run, which is pushed
-onto a stack.  The binary pattern of the running pair count decides how many
-merges precede the push -- one merge per low 1-bit, so the stack never holds
-more than one run per bit; a trailing odd node is pushed as a singleton.
-This is the merge sequence of detaching, pushing and carrying one node at a
-time, with one stack push per pair and no pop for the level-0 merge.  The
-popped (older) run is always the left merge operand and ties take the left
-node.
+a time and each pair is merged at once into a two-node run.  The pending 2-
+and 4-node runs wait in two locals, not on the stack: a pair's run merges
+straight into a waiting 2-node run, the 4-node result straight into a
+waiting 4-node run, and only runs of 8 nodes or more are pushed.  The binary
+pattern of the running count of 8-node runs decides how many merges precede
+a push -- one merge per low 1-bit, so the stack never holds more than one
+run per bit.  At the end the pending 4-node run, 2-node run and trailing
+odd node are pushed in that order and the stack is folded.  The merge
+sequence is the carry schedule of detaching, pushing and carrying one node
+at a time, unchanged: n - 1 calls of the module-level ``merge_baseline`` or
+``merge_hop``.  The older run, waiting or popped, is always the left merge
+operand and ties take the left node.
 
 Comparison counting: one count per key pair inspected while both sides are
 nonempty.  A single <= verdict (baseline) and a full less/equal/greater
@@ -24,12 +28,14 @@ origin order, because the left operand always covers earlier input
 positions.  The one place a merge leaves an equal-key fragment directly
 behind another without fusing the two is a head-selection tie; there an
 equal-splice later in the same merge can land right-side nodes ahead of a
-left-side fragment of the same key, and no splice order can repair that
-without inspecting keys the fragment walk never visits.  So a head tie
-marks the trailing fragment by adding its head to the sort's
-``ComparisonCounter.ties``.  Fragments are never split and two fragments of
-one run never fuse later, so a mark stays directly behind its equal-key
-region until the sort ends.  After the final fold the driver walks the
+left-side fragment of the same key.  A splice order could avoid that
+without inspecting a key (splice the right-side fragment behind the last
+marked fragment of the left-side region), but that costs a mark lookup on
+every equal step, more than the final pass it saves (README gives the
+numbers).  So a head tie marks the trailing fragment by adding its head to
+the sort's ``ComparisonCounter.ties``.  Fragments are never split and two
+fragments of one run never fuse later, so a mark stays directly behind its
+equal-key region until the sort ends.  After the final fold the driver walks the
 chain by hop and reorders only the regions that carry marks -- restoring
 input order for equal keys while leaving the comparison count untouched.
 A sort that saw no head tie has no mark, so it skips the walk.  The marks
@@ -259,27 +265,42 @@ def mergesort(lst: SortList, engine: MergeEngine | str) -> tuple[SortList, SortS
         return lst, SortStats(0)
     merge = merge_hop if hop else merge_baseline
     counter = ComparisonCounter()
-    stack: list[Node] = []
-    pairs = 0
+    stack: list[Node] = []  # runs of 8 nodes or more, one per bit of octets
+    pair: Node | None = None  # the pending 2-node run
+    quad: Node | None = None  # the pending 4-node run
+    octets = 0
     while node is not None:
         # a detached node must not hop into the chain it came from
         node.hop = node
         b = node.next
         if b is None:
-            stack.append(node)  # a trailing odd node is a singleton run
-            break
+            break  # a trailing odd node is a singleton run
         nxt = b.next
         node.next = None
         b.next = None
         b.hop = b
         run = merge(node, b, counter)
-        bits = pairs
+        node = nxt
+        if pair is None:
+            pair = run
+            continue
+        run = merge(pair, run, counter)
+        pair = None
+        if quad is None:
+            quad = run
+            continue
+        run = merge(quad, run, counter)
+        quad = None
+        bits = octets
         while bits & 1:
             run = merge(stack.pop(), run, counter)
             bits >>= 1
         stack.append(run)
-        pairs += 1
-        node = nxt
+        octets += 1
+    # the pending runs are the stack's newest entries, smallest last
+    for run in (quad, pair, node):
+        if run is not None:
+            stack.append(run)
     node = stack.pop()
     while stack:
         node = merge(stack.pop(), node, counter)

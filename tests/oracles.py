@@ -35,7 +35,9 @@ def baseline_sort_count(keys: list[int]) -> tuple[list[int], int]:
 
     Mirrors the driver policy under test: after pushing singleton number c+1,
     each low 1-bit of the old count c triggers one merge with the popped
-    (older) run as the left operand; a final fold drains the stack.
+    (older) run as the left operand; a final fold drains the stack.  The
+    package's driver holds its 2- and 4-node runs in locals instead of on
+    the stack, but makes these same merges in this order.
     """
     if len(keys) <= 1:
         return list(keys), 0
@@ -58,6 +60,29 @@ def baseline_sort_count(keys: list[int]) -> tuple[list[int], int]:
         run, cost = count_merge_arrays(older, run)
         total += cost
     return run, total
+
+
+def merge_schedule(n: int) -> list[tuple[int, int]]:
+    """(left size, right size) of each merge ``baseline_sort_count`` makes
+    on n keys, in order: the binary-counter schedule on run sizes alone."""
+    stack: list[int] = []
+    out: list[tuple[int, int]] = []
+    for count in range(n):
+        run = 1
+        bits = count
+        while bits & 1:
+            older = stack.pop()
+            out.append((older, run))
+            run += older
+            bits >>= 1
+        stack.append(run)
+    if stack:
+        run = stack.pop()
+        while stack:
+            older = stack.pop()
+            out.append((older, run))
+            run += older
+    return out
 
 
 # Fragment-level simulation of the hop merge.  A fragment is a (key, length)

@@ -660,3 +660,66 @@ def test_cli_bench_tables_match_the_golden_bytes(golden, args, tmp_path):
     )
     assert rc == 0
     assert out.read_bytes() == (GOLDEN / golden).read_bytes()
+
+
+SEED_TOP = 2**64 - 1  # Rng64 keeps a seed's low 64 bits; this is the last one it runs as given
+ONE_ROW = ("--exp-min", "4", "--exp-max", "4")
+
+
+@pytest.mark.parametrize(
+    "dataset, base_seed, trials",
+    [
+        (DatasetKind.SHUFFLED, -1, 1),
+        (DatasetKind.SHUFFLED, SEED_TOP, 2),
+        (DatasetKind.KDISTINCT, SEED_TOP - 2, 4),
+        (DatasetKind.SAWTOOTH, -1, 1),
+    ],
+)
+def test_config_refuses_seeds_outside_64_bits_before_any_sort(
+    monkeypatch, dataset, base_seed, trials
+):
+    monkeypatch.setattr(bench, "mergesort", _no_sort)
+    with pytest.raises(ConfigError, match=r"leave the range 0\.\.2\*\*64-1"):
+        ExperimentConfig(
+            dataset=dataset, exp_min=4, exp_max=4, k=4, trials=trials, base_seed=base_seed
+        )
+
+
+def test_config_accepts_seeds_at_both_edges():
+    for base_seed, trials in ((0, 3), (SEED_TOP, 1), (SEED_TOP - 2, 3)):
+        config = ExperimentConfig(
+            dataset=DatasetKind.SHUFFLED, exp_min=4, exp_max=4, trials=trials, base_seed=base_seed
+        )
+        assert len(run_experiment(config).samples[(16, "hop")]) == trials
+    # sawtooth runs one trial, so only its one seed must fit
+    sawtooth_config(exp_min=4, exp_max=4, trials=50, base_seed=SEED_TOP)
+
+
+def test_run_verify_refuses_seeds_outside_64_bits_before_any_trial(monkeypatch):
+    monkeypatch.setattr(bench, "mergesort", _no_sort)
+    for base_seed, trials in ((-1, 1), (-5, 10), (SEED_TOP, 2), (SEED_TOP - 8, 10)):
+        with pytest.raises(ConfigError, match=r"leave the range 0\.\.2\*\*64-1"):
+            run_verify(trials=trials, max_n=8, max_key=2, base_seed=base_seed)
+
+
+def test_run_verify_accepts_seeds_at_both_edges():
+    assert run_verify(trials=1, max_n=8, max_key=2, base_seed=0).ok
+    assert run_verify(trials=1, max_n=8, max_key=2, base_seed=SEED_TOP).ok
+    assert run_verify(trials=9, max_n=8, max_key=2, base_seed=SEED_TOP - 8).ok
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--seed", "-1", "--trials", "1"],
+        ["verify", "--seed", str(SEED_TOP), "--trials", "2"],
+        ["bench", "--dataset", "shuffled", *ONE_ROW, "--trials", "1", "--seed", "-1"],
+        ["bench", "--dataset", "kdistinct", *ONE_ROW, "--trials", "2", "--seed", str(SEED_TOP)],
+    ],
+)
+def test_cli_refuses_an_aliasing_seed_with_exit_2(monkeypatch, capsys, argv):
+    monkeypatch.setattr(bench, "mergesort", _no_sort)
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: seeds ")
+    assert captured.out == ""

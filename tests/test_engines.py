@@ -23,7 +23,7 @@ from hopsort import (
     sort_with_stats,
     to_keys,
 )
-from hopsort.datasets import gen_kdistinct, gen_sawtooth
+from hopsort.datasets import gen_kdistinct, gen_sawtooth, gen_shuffled
 from hopsort.listcore import Node
 
 BASELINE = MergeEngine.BASELINE
@@ -269,3 +269,55 @@ def test_the_regroup_walk_runs_only_after_a_head_tie(monkeypatch):
     with pytest.raises(RuntimeError, match="regroup walk"):
         mergesort(from_keys([5, 5]), HOP)
     assert calls == [[1]]
+
+
+SCHEDULE_SIZES = sorted(
+    set(range(301)) | {m for j in range(13) for m in (2**j - 1, 2**j, 2**j + 1)}
+)
+
+
+def _schedule_inputs(n):
+    yield "shuffled", gen_shuffled(n, seed=n)
+    yield "kdistinct", gen_kdistinct(n, 7, seed=n)
+    yield "sawtooth", gen_sawtooth(n, 16)
+    yield "all-equal", [3] * n
+
+
+@pytest.mark.parametrize("engine", [BASELINE, HOP])
+def test_every_merge_is_a_module_call_on_the_carry_schedule(monkeypatch, engine):
+    # perfbench's traced probe wraps engines.merge_* and reads each merge's
+    # level off its left operand, so the driver must make exactly the
+    # one-node-at-a-time carry schedule's merges, each a call to those names,
+    # with the left operand covering the earlier input positions
+    calls = []
+
+    def origins(head):
+        out = []
+        while head is not None:
+            out.append(head.origin)
+            head = head.next
+        return out
+
+    def recorder(real):
+        def merge(a, b, counter):
+            left, right = origins(a), origins(b)
+            assert max(left) < min(right)
+            sizes = (len(left), len(right))
+            before = counter.invocations
+            head = real(a, b, counter)
+            calls.append((sizes, counter.invocations - before))
+            return head
+
+        return merge
+
+    monkeypatch.setattr(engines, "merge_baseline", recorder(merge_baseline))
+    monkeypatch.setattr(engines, "merge_hop", recorder(merge_hop))
+    for n in SCHEDULE_SIZES:
+        schedule = oracles.merge_schedule(n)
+        assert len(schedule) == max(n - 1, 0)
+        for name, keys in _schedule_inputs(n):
+            calls.clear()
+            lst, stats = mergesort(from_keys(keys), engine)
+            assert to_keys(lst) == sorted(keys), (name, n)
+            assert [sizes for sizes, _ in calls] == schedule, (name, n)
+            assert sum(cmp for _, cmp in calls) == stats.comparisons, (name, n)
