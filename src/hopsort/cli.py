@@ -34,11 +34,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser("bench", help="run a dataset sweep and emit the table")
     bench.add_argument("--dataset", required=True, choices=[k.value for k in DatasetKind])
-    bench.add_argument("--k", type=int, default=1024, help="distinct-key bound (default 1024)")
+    bench.add_argument("--k", type=int, help="distinct-key bound (default 1024)")
     bench.add_argument("--exp-min", type=int, default=7, help="smallest n as a power of two")
     bench.add_argument("--exp-max", type=int, default=16, help="largest n as a power of two")
-    bench.add_argument("--trials", type=int, default=100, help="seeded trials per row")
-    bench.add_argument("--seed", type=int, default=1, help="base seed; trial t uses seed+t")
+    bench.add_argument("--trials", type=int, help="seeded trials per row (default 100)")
+    bench.add_argument("--seed", type=int, help="base seed; trial t uses seed+t (default 1)")
     bench.add_argument("--engine", choices=["baseline", "both", "hop"], default="both")
     bench.add_argument("--mode", choices=["totals", "per-element"], default="totals")
     bench.add_argument("--format", choices=["tsv", "csv"], default="tsv")
@@ -81,20 +81,27 @@ def _open_out(path: str | None):
         raise ConfigError(f"--out: {exc}") from exc
 
 
+# flags a sweep would ignore: shuffled keys are all distinct, sawtooth is seedless
+_IGNORED_FLAGS = {"shuffled": ("k",), "sawtooth": ("trials", "seed")}
+
+
 def _cmd_bench(args: argparse.Namespace) -> int:
+    for flag in _IGNORED_FLAGS.get(args.dataset, ()):
+        if getattr(args, flag) is not None:
+            raise ConfigError(f"--{flag} has no effect on --dataset {args.dataset}")
+    if args.mode == "per-element" and args.out:
+        raise ConfigError("--mode per-element is a stdout view; --out writes the canonical table")
+    given = {"k": args.k, "trials": args.trials, "base_seed": args.seed}
     config = ExperimentConfig(
         dataset=args.dataset,
         exp_min=args.exp_min,
         exp_max=args.exp_max,
-        k=args.k,
-        trials=args.trials,
-        base_seed=args.seed,
         engines=("baseline", "hop") if args.engine == "both" else (args.engine,),
         budget=args.budget,
+        # an unset flag takes ExperimentConfig's default
+        **{name: value for name, value in given.items() if value is not None},
     )
-    # a file always gets the canonical table; --mode only picks the stdout view
-    per_element = args.mode == "per-element" and not args.out
-    columns = PER_ELEMENT_COLUMNS if per_element else REPORT_COLUMNS
+    columns = PER_ELEMENT_COLUMNS if args.mode == "per-element" else REPORT_COLUMNS
     with _open_out(args.out) as out:
         report = run_experiment(config)
         out.write(render_table(report.rows, columns, args.format))

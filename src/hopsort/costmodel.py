@@ -1,16 +1,12 @@
-"""Closed-form work model for the hop-link sort.
+"""Closed-form ceiling on the hop-link sort's comparison count.
 
-``predicted_cost`` counts abstract merge work units -- node visits and
-relinks as well as inspections -- so it tracks the *trend* of measured
-comparison counts (flat in n per element once k is fixed) rather than their
-magnitude.  Reports print both and never conflate them.
-
-It is also an upper bound on the hop engine's comparison count for any input
-of length n with k distinct keys.  That bound is checked, not proven:
-``tests/test_properties.py`` hunts for an input above it with random,
-sorted, descending and sawtooth inputs up to n = 300 and with seeded swap
-hill-climbs, and has found none.  It is nearly tight at k = 1, where hop
-spends 2n - log2(n) - 2 for n a power of two against a ceiling of 2n - 1.
+``predicted_cost`` is an upper bound on the hop engine's comparison count
+for any input of length n with k distinct keys.  The tests check it but
+nobody has proven it: ``tests/test_properties.py`` hunts for an input above
+it with random, sorted, descending and sawtooth inputs up to n = 300 and
+with seeded swap hill-climbs, and has found none.  It is nearly tight at
+k = 1, where hop spends 2n - log2(n) - 2 for n a power of two against a
+ceiling of 2n - 1.
 """
 
 from __future__ import annotations
@@ -19,7 +15,7 @@ import math
 
 
 def predicted_cost(n: int, k: int) -> float:
-    """Predicted total work for length ``n`` with ``k`` distinct keys.
+    """Ceiling on hop's comparisons for length ``n`` with ``k`` distinct keys.
 
     All-distinct inputs (k == n) cost n + n*log2(n); duplicated inputs
     (k < n) cost 2n + n*log2(k) - k.  The two branches agree at k == n.

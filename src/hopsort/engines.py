@@ -256,6 +256,10 @@ def mergesort(lst: SortList, engine: MergeEngine | str) -> tuple[SortList, SortS
     node); it performs no key inspections, so reported comparison counts
     are pure merge work.  A sort whose merges marked no tie skips the walk,
     which would change nothing.
+
+    A raising key comparison propagates and leaves the list half relinked,
+    so rebuild it from the keys.  On a cyclic chain, ``mergesort`` never
+    returns.
     """
     if type(engine) is not MergeEngine:
         engine = MergeEngine(engine)  # skipped for a member: tiny sorts pay it per call

@@ -230,47 +230,14 @@ def _count_walk_keys(lst: SortList) -> int:
 
 
 def check_hop_valid(lst: SortList) -> Verdict:
-    """Full hop audit over every node, not just the walk.
+    """Full hop audit over every node, not just the walk; names the first fault.
 
     A hop must stay inside the chain, point at or after its own node, and
-    cover only equal keys in between.  Also flags chain cycles and a stored
-    length that disagrees with the reachable node count.
-
-    A passing list costs one walk of at most ``lst.length`` steps.  Since a
-    valid hop lands forward in its own segment, the walk keeps only the set
-    of hop targets not yet reached in the current segment: a key change
-    while one is pending, a walk that outruns the stored length, or one that
-    ends short of it is a fault.  A fault is then diagnosed exactly by
-    ``_diagnose_hops``, which reports the first reason and position.
+    cover only equal keys in between.  One pass indexes the chain and its
+    segments and reports a cycle, then a stored length that disagrees with
+    the reachable node count; a second reports the first node whose hop
+    escapes the chain, points backward or crosses a key change.
     """
-    limit = lst.length
-    count = 0
-    pending: set[Node] = set()
-    prev_key = None
-    node = lst.head
-    while node is not None:
-        if count >= limit:  # >=, not ==: a negative stored length must end the walk too
-            return _diagnose_hops(lst)
-        key = node.key
-        if pending:
-            if key != prev_key:
-                return _diagnose_hops(lst)
-            pending.discard(node)
-        hop = node.hop
-        if hop is not node:
-            pending.add(hop)
-        prev_key = key
-        count += 1
-        node = node.next
-    if pending or count != limit:
-        return _diagnose_hops(lst)
-    return Verdict(True)
-
-
-def _diagnose_hops(lst: SortList) -> Verdict:
-    """Two-pass hop audit that names the first fault: a chain cycle, then a
-    length mismatch, then the first node whose hop escapes the chain, points
-    backward or crosses a key change."""
     nodes: list[Node] = []
     index: dict[Node, int] = {}
     seg_of: list[int] = []
@@ -305,30 +272,22 @@ def check_sorted_stable(lst: SortList, original: Sequence[int]) -> Verdict:
     """Verify nondecreasing keys, multiset equality with ``original``, and
     strictly increasing origins inside each equal-key run.
 
-    One walk checks order and stability against the previous key and
-    origin; the multiset check is then ``keys == sorted(original)``.  That
-    is exact once the walk has shown the keys nondecreasing, provided keys
-    are totally ordered, which the sort itself already requires.
+    One walk checks order, then stability, against the previous node; its
+    nondecreasing keys then equal ``sorted(original)`` exactly when the
+    multisets agree, keys being totally ordered as the sort requires.
     """
-    keys: list[int] = []
-    node = lst.head
-    if node is not None:
-        prev_key = node.key
-        prev_origin = node.origin
-        keys.append(prev_key)
-        node = node.next
-        while node is not None:
-            key = node.key
+    nodes = lst.nodes()
+    prev = next(nodes, None)
+    keys: list[int] = [] if prev is None else [prev.key]
+    for node in nodes:
+        if node.key <= prev.key:
             # len(keys) is this node's position
-            if key < prev_key:
+            if node.key < prev.key:
                 return Verdict(False, "order", len(keys))
-            origin = node.origin
-            if key == prev_key and origin <= prev_origin:
+            if node.origin <= prev.origin:
                 return Verdict(False, "stability", len(keys))
-            keys.append(key)
-            prev_key = key
-            prev_origin = origin
-            node = node.next
+        keys.append(node.key)
+        prev = node
     if keys != sorted(original):
         return Verdict(False, "multiset", None)
     return Verdict(True)
@@ -342,10 +301,11 @@ def _sorted_output_ok(lst: SortList, expected: Sequence[int]) -> bool:
 
     One walk of at most ``len(expected)`` nodes: each key must equal
     ``expected[i]`` (order, multiset and read-back in one test), origins
-    must rise strictly inside equal keys, and ``check_hop_valid``'s pending
-    hop targets must all be reached before the key changes.  At the end the
-    stored length must be ``len(expected)``, the chain must end, and no
-    target may be pending.  It names no fault; the three checks do that.
+    must rise strictly inside equal keys, and, since a valid hop lands at or
+    after its own node in the same segment, every hop target not yet
+    reached must be reached before the key changes.  At the end the stored
+    length must be ``len(expected)``, the chain must end, and no target may
+    be pending.  It names no fault; the three checks do that.
     """
     pending: set[Node] = set()
     prev_key = None

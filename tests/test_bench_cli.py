@@ -15,6 +15,7 @@ from hopsort.bench import (
     REPORT_COLUMNS,
     ConfigError,
     ExperimentConfig,
+    ExperimentReport,
     VerifySummary,
     render_table,
     run_experiment,
@@ -486,10 +487,48 @@ def test_cli_bench_writes_identical_files_for_identical_config(tmp_path, capsys)
     assert cli.main(args + ["--out", str(path_b)]) == 0
     assert capsys.readouterr().out == ""  # table goes to the file, not stdout
     assert path_a.read_bytes() == path_b.read_bytes()
-    # mode only changes the stdout view; the file keeps the canonical schema
+    # per-element is a stdout view; asking a file for it is refused
     path_c = tmp_path / "c.tsv"
-    assert cli.main(args + ["--mode", "per-element", "--out", str(path_c)]) == 0
-    assert path_c.read_bytes() == path_a.read_bytes()
+    assert cli.main(args + ["--mode", "per-element", "--out", str(path_c)]) == 2
+    assert not path_c.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["--dataset", "shuffled", "--k", "5", "--trials", "1"], "--k"),
+        (["--dataset", "sawtooth", "--trials", "50"], "--trials"),
+        (["--dataset", "sawtooth", "--seed", "9"], "--seed"),
+        (["--dataset", "sawtooth", "--trials", "100", "--seed", "1"], "--trials"),
+        (["--dataset", "kdistinct", "--k", "16", "--trials", "1", "--mode", "per-element"],
+         "--mode"),
+    ],
+)
+def test_cli_bench_refuses_what_the_sweep_would_ignore(
+    monkeypatch, tmp_path, capsys, argv, flag
+):
+    # refused before any sort and before --out is touched, even at the default values
+    monkeypatch.setattr(bench, "mergesort", _no_sort)
+    out = tmp_path / "t.tsv"
+    rc = cli.main(["bench", *argv, "--exp-min", "4", "--exp-max", "4", "--out", str(out)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {flag} ")
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_cli_bench_unset_flags_take_the_config_defaults(monkeypatch):
+    seen = []
+
+    def record(config):
+        seen.append(config)
+        return ExperimentReport([])
+
+    monkeypatch.setattr(cli, "run_experiment", record)
+    for kind in DatasetKind:
+        assert cli.main(["bench", "--dataset", kind.value, "--exp-min", "4", "--exp-max", "4"]) == 0
+    assert seen == [ExperimentConfig(dataset=kind, exp_min=4, exp_max=4) for kind in DatasetKind]
 
 
 def test_cli_bench_per_element_mode_stdout(capsys):

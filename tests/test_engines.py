@@ -11,6 +11,7 @@ from hopsort import (
     ComparisonCounter,
     MergeEngine,
     SortList,
+    Verdict,
     check_hop_valid,
     check_sorted_stable,
     distinct_key_count,
@@ -186,14 +187,38 @@ def test_sort_is_stable_on_duplicates():
 
 
 def test_hop_output_passes_full_audit():
-    for keys in (gen_kdistinct(512, 16, seed=11), gen_sawtooth(4096, 16)):
-        lst, _ = mergesort(from_keys(keys), HOP)
-        assert to_keys(lst) == sorted(keys)
-        assert check_sorted_stable(lst, keys)
-        assert check_hop_valid(lst)
-        assert distinct_key_count(lst) == len(set(keys))
-        # the final pass leaves every equal-key region as one fragment
-        assert len(hop_walk(lst)) == len(set(keys))
+    # benchmark-sized inputs, so no quadratic oracle here
+    inputs = (
+        gen_kdistinct(512, 16, seed=11),
+        gen_shuffled(4096, 3),
+        gen_kdistinct(4096, 1024, 3),
+        gen_sawtooth(4096, 16),
+    )
+    for keys in inputs:
+        for engine in (BASELINE, HOP):
+            lst, _ = mergesort(from_keys(keys), engine)
+            assert to_keys(lst) == sorted(keys)
+            assert check_sorted_stable(lst, keys)
+            assert check_hop_valid(lst)
+            assert distinct_key_count(lst) == len(set(keys))
+            # hop's final pass leaves every equal-key region as one fragment;
+            # baseline leaves every hop on its own node
+            assert len(hop_walk(lst)) == len(set(keys) if engine is HOP else keys)
+
+    # one mutation per check, each with its verdict known by construction;
+    # neither touches what the other check reads
+    keys = gen_kdistinct(4096, 1024, 3)
+    lst, _ = mergesort(from_keys(keys), HOP)
+    nodes = list(lst.nodes())
+    i = next(i for i, node in enumerate(nodes) if node.hop is not node)
+    assert nodes[i + 1].key == nodes[i].key  # i heads a coalesced region
+    hop, nodes[i + 1].hop = nodes[i + 1].hop, nodes[i]
+    assert check_hop_valid(lst) == Verdict(False, "hop-backward", i + 1)
+    assert check_sorted_stable(lst, keys)
+    nodes[i + 1].hop = hop
+    nodes[i].origin, nodes[i + 1].origin = nodes[i + 1].origin, nodes[i].origin
+    assert check_sorted_stable(lst, keys) == Verdict(False, "stability", i + 1)
+    assert check_hop_valid(lst)
 
 
 def test_resorting_a_sorted_list_with_coalesced_hops_is_safe():
