@@ -36,16 +36,21 @@ numbers).  So a head tie marks the trailing fragment by adding its head to
 the sort's ``ComparisonCounter.ties``.  Fragments are never split and two
 fragments of one run never fuse later, so a mark stays directly behind its
 equal-key region until the sort ends.  After the final fold the driver walks the
-chain by hop and reorders only the regions that carry marks -- restoring
-input order for equal keys while leaving the comparison count untouched.
-A sort that saw no head tie has no mark, so it skips the walk.  The marks
-live in the counter of the sort that made them, so none can outlive it.
+chain by hop and, in each region that carries marks, merges the fragments
+by origin -- restoring input order for equal keys while leaving the
+comparison count untouched.  A sort that saw no head tie has no mark, so it
+skips the walk.  The marks live in the counter of the sort that made them,
+so none can outlive it.
+
+Stability rests on one precondition: within each key, origins rise along
+the input chain, as ``from_keys`` numbers them.  On other input every node
+is still kept and the keys are still sorted, but equal keys come out in an
+unspecified order.
 """
 
 from __future__ import annotations
 
 import enum
-import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -192,18 +197,18 @@ def merge_hop(a: Node | None, b: Node | None, counter: ComparisonCounter) -> Nod
     return head
 
 
-_origin_of = operator.attrgetter("origin")
-
-
 def _regroup_equal_regions(head: Node, marked: set[Node]) -> Node:
-    """Rebuild every multi-fragment equal-key region of ``head`` in origin order.
+    """Merge the fragments of every multi-fragment equal-key region by origin.
 
     Walks the chain by hop, one step per fragment.  A fragment whose
     successor is not in ``marked`` (the sort's head-tie marks) is left
-    alone; a run of marked successors is one equal-key region, which is
-    re-linked by ascending origin and coalesced (first node hops to the
-    last, every other node to itself).  ``marked`` is only read.  No keys
-    are inspected.
+    alone; a run of marked successors is one equal-key region.  Each of its
+    fragments is in origin order already, so the region is rebuilt by
+    merging them on ``origin``, folding from the back: each fragment merges
+    into the merge of those after it and wins a tie, so equal origins keep
+    chain order.  The region's first node then hops to its last; every
+    other node keeps its hop, which a merge leaves pointing forward inside
+    the region.  ``marked`` is only read.  No keys are inspected.
     """
     tail: Node | None = None  # last node of the chain rebuilt so far
     node: Node | None = head
@@ -214,26 +219,59 @@ def _regroup_equal_regions(head: Node, marked: set[Node]) -> Node:
             tail = last
             node = nxt
             continue
+        # cut the region into fragments: a .. a_end and b .. end are its last
+        # two, and any before them wait in ``earlier`` (most regions have two)
+        earlier = []
+        a, a_end = node, last
+        b = nxt
+        end = b.hop
+        nxt = end.next
         while nxt in marked:
-            last = nxt.hop
-            nxt = last.next
-        region = [node]
-        while node is not last:
-            node = node.next
-            region.append(node)
-        region.sort(key=_origin_of)
-        first = prev = region[0]
-        for nd in region[1:]:
-            prev.next = nd
-            prev = nd
-            nd.hop = nd
-        first.hop = prev
-        prev.next = nxt
+            earlier.append((a, a_end))
+            a, a_end = b, end
+            b = nxt
+            end = b.hop
+            nxt = end.next
+        while True:
+            # merge a .. a_end into b .. end on origin, in streaks, a winning
+            # a tie.  The merged end is the end of the side left over, never
+            # the node of largest origin, since origins may repeat.  A side
+            # whose end lies below the other side's head is linked whole;
+            # otherwise that end stops the streak's walk, so the walk needs
+            # no end test
+            first = b if b.origin < a.origin else a
+            while True:
+                ao = a.origin
+                if b.origin < ao:
+                    if end.origin < ao:
+                        end.next = a
+                        end = a_end
+                        break
+                    p = b
+                    while p.next.origin < ao:
+                        p = p.next
+                    b = p.next
+                    p.next = a
+                bo = b.origin
+                if a_end.origin <= bo:
+                    a_end.next = b
+                    break
+                p = a
+                while p.next.origin <= bo:
+                    p = p.next
+                a = p.next
+                p.next = b
+            b = first
+            if not earlier:
+                break
+            a, a_end = earlier.pop()
+        b.hop = end
+        end.next = nxt
         if tail is None:
-            head = first
+            head = b
         else:
-            tail.next = first
-        tail = prev
+            tail.next = b
+        tail = end
         node = nxt
     return head
 
@@ -249,13 +287,16 @@ def mergesort(lst: SortList, engine: MergeEngine | str) -> tuple[SortList, SortS
     a key outside a total order such as NaN makes the output order
     engine-dependent.
 
-    Output is stable: equal keys appear in input (origin) order.  For the
-    hop engine this is finished by a final hop walk that reorders the
-    equal-key regions marked at head-selection ties, which also coalesces
-    each of them to a single fragment (head hops to the region's last
-    node); it performs no key inspections, so reported comparison counts
-    are pure merge work.  A sort whose merges marked no tie skips the walk,
-    which would change nothing.
+    Output is stable: equal keys appear in input (origin) order, provided
+    that within each key the origins rise along the input chain, as
+    ``from_keys`` numbers them.  Otherwise every node is kept and the keys
+    come out sorted, but equal keys in an unspecified order.  For the hop
+    engine stability is finished by a final hop walk that merges by origin
+    the fragments of each equal-key region marked at a head-selection tie,
+    which also coalesces the region to a single fragment (head hops to the
+    region's last node); it performs no key inspections, so reported
+    comparison counts are pure merge work.  A sort whose merges marked no
+    tie skips the walk, which would change nothing.
 
     A raising key comparison propagates and leaves the list half relinked,
     so rebuild it from the keys.  On a cyclic chain, ``mergesort`` never

@@ -4,6 +4,8 @@ Expected counts marked "oracle" were computed with the array-based
 reimplementation in oracles.py before this package existed, then frozen.
 """
 
+import random
+
 import pytest
 
 import oracles
@@ -193,6 +195,10 @@ def test_hop_output_passes_full_audit():
         gen_shuffled(4096, 3),
         gen_kdistinct(4096, 1024, 3),
         gen_sawtooth(4096, 16),
+        # a regroup region of 13 fragments with binomial sizes (k = 1) and
+        # one of 12 (k = 2), so the regroup pass folds deep
+        gen_kdistinct(4096, 1, 3),
+        gen_kdistinct(4096, 2, 3),
     )
     for keys in inputs:
         for engine in (BASELINE, HOP):
@@ -294,6 +300,102 @@ def test_the_regroup_walk_runs_only_after_a_head_tie(monkeypatch):
     with pytest.raises(RuntimeError, match="regroup walk"):
         mergesort(from_keys([5, 5]), HOP)
     assert calls == [[1]]
+
+
+class Unordered:
+    """A key that raises if it is compared or hashed."""
+
+    def _refuse(self, *args):
+        raise AssertionError("a key was compared or hashed")
+
+    __eq__ = __ne__ = __lt__ = __le__ = __gt__ = __ge__ = __hash__ = _refuse
+
+
+@pytest.mark.parametrize(
+    "fragments",
+    [
+        # [A1 C][A2]: a left-side fragment fused with a right-side one (C),
+        # then the left-side fragment a head tie left behind it
+        [[[0, 1], [4, 5]], [[2, 3]]],
+        [[[0, 3, 6]], [[1, 4], [7]], [[2, 5, 8]]],
+        [[[0, 5], [10]], [[1, 6]], [[2], [7, 11]], [[3, 8]], [[4, 9, 12]]],
+    ],
+)
+@pytest.mark.parametrize("at_head", [False, True])
+def test_regroup_merges_a_region_by_origin_without_touching_a_key(fragments, at_head):
+    # each fragment is a list of runs of origins, every run's first node
+    # hopping to its last, as merges fuse them; the fragment's first node
+    # hops to the fragment's end, and every fragment after the first is marked
+    region = []
+    marked = set()
+    for i, runs in enumerate(fragments):
+        fragment = []
+        for run in runs:
+            nodes = [Node(Unordered(), origin) for origin in run]
+            nodes[0].hop = nodes[-1]
+            fragment += nodes
+        fragment[0].hop = fragment[-1]
+        if i:
+            marked.add(fragment[0])
+        region += fragment
+    before = [] if at_head else [Node(Unordered(), -1)]
+    after = Node(Unordered(), 99)
+    chain = before + region + [after]
+    for node, nxt in zip(chain, chain[1:]):
+        node.next = nxt
+    head = engines._regroup_equal_regions(chain[0], marked)
+
+    out = [node for _, node in zip(range(len(chain) + 1), SortList(head).nodes())]
+    assert len(out) == len(chain) and set(out) == set(chain)  # each node once
+    assert out[: len(before)] == before and out[-1] is after
+    merged = out[len(before) : -1]
+    assert [node.origin for node in merged] == sorted(node.origin for node in region)
+    first, end = merged[0], merged[-1]
+    assert first.hop is end and end.next is after
+    # every other hop is kept and still lands at or after its node in the region
+    position = {node: i for i, node in enumerate(merged)}
+    assert all(position[node.hop] >= i for i, node in enumerate(merged))
+    assert all(node.hop is node for node in before + [after])
+
+
+def _linked(nodes):
+    for node, nxt in zip(nodes, nodes[1:]):
+        node.next = nxt
+    return SortList(nodes[0] if nodes else None, len(nodes))
+
+
+@pytest.mark.parametrize("origins", ["zero", "random-few", "random-many"])
+def test_hop_sort_keeps_every_node_when_origins_do_not_rise(monkeypatch, origins):
+    # stability needs origins rising along the input within each key; without
+    # that, equal keys may come out in any order, but every node must stay.
+    # Three origin values make ties in origin common; n values make them rare
+    rng = random.Random(7)
+    for n, k, seed in ((1, 1, 0), (2, 1, 0), (40, 3, 1), (300, 7, 2), (1024, 1, 3), (4096, 2, 3)):
+        keys = gen_kdistinct(n, k, seed)
+        if origins == "zero":
+            draw = [0] * n
+        else:
+            spread = 3 if origins == "random-few" else n
+            draw = [rng.randrange(spread) for _ in range(n)]
+        nodes = [Node(key, origin) for key, origin in zip(keys, draw)]
+        lst, _ = mergesort(_linked(nodes), HOP)
+        out = list(lst.nodes())
+        assert len(out) == n and set(out) == set(nodes)
+        assert [node.key for node in out] == sorted(keys)
+        assert check_hop_valid(lst)
+        assert len(hop_walk(lst)) == len(set(keys))
+        if origins == "zero":
+            # equal origins keep chain order, so the pass may only coalesce:
+            # the nodes stay in the order the merges left them
+            position = {node: i for i, node in enumerate(nodes)}
+            fresh = [Node(key) for key in keys]
+            fresh_position = {node: i for i, node in enumerate(fresh)}
+            with monkeypatch.context() as patch:
+                patch.setattr(engines, "_regroup_equal_regions", lambda head, marked: head)
+                unregrouped, _ = mergesort(_linked(fresh), HOP)
+            assert [position[node] for node in out] == [
+                fresh_position[node] for node in unregrouped.nodes()
+            ]
 
 
 SCHEDULE_SIZES = sorted(
