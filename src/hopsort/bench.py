@@ -1,4 +1,4 @@
-"""Experiment runner, verification sweep, model table, and the table writer.
+"""Experiment runner, verification sweep, and the table writer.
 
 Row protocol: n walks powers of two from 2**exp_min to 2**exp_max; shuffled
 and kdistinct rows average over ``trials`` seeded runs (seeds base_seed ..
@@ -31,7 +31,7 @@ from .listcore import (
 # node churn and the wall time a row may cost before the user must opt in
 DEFAULT_BUDGET = 1 << 25
 
-# the three table views, one column tuple each; render_table writes any of them
+# the canonical table's columns, in order; render_table writes them
 REPORT_COLUMNS = (
     "n",
     "dataset",
@@ -43,8 +43,6 @@ REPORT_COLUMNS = (
     "per_element_mean",
     "predicted",
 )
-PER_ELEMENT_COLUMNS = ("n", "dataset", "k", "engine", "per_element_mean", "predicted_per_element")
-MODEL_COLUMNS = ("n", "k", "predicted", "predicted_per_element")
 
 
 class ConfigError(ValueError):
@@ -62,16 +60,6 @@ def _gc_paused():
     finally:
         if was_enabled:
             gc.enable()
-
-
-def _check_range(exp_min: int, exp_max: int, k: int) -> None:
-    """The exponent and k check shared by sweeps and the model table."""
-    if not 0 <= exp_min <= exp_max:
-        raise ConfigError(f"need 0 <= exp_min <= exp_max, got {exp_min}..{exp_max}")
-    if exp_max > 30:
-        raise ConfigError(f"exp_max {exp_max} is past any sane in-memory run")
-    if k < 1:
-        raise ConfigError(f"k must be >= 1, got {k}")
 
 
 def _check_seeds(base_seed: int, trials: int) -> None:
@@ -110,7 +98,12 @@ class ExperimentConfig:
             raise ConfigError(str(exc)) from None
         object.__setattr__(self, "dataset", dataset)
         object.__setattr__(self, "engines", engines)
-        _check_range(self.exp_min, self.exp_max, self.k)
+        if not 0 <= self.exp_min <= self.exp_max:
+            raise ConfigError(f"need 0 <= exp_min <= exp_max, got {self.exp_min}..{self.exp_max}")
+        if self.exp_max > 30:
+            raise ConfigError(f"exp_max {self.exp_max} is past any sane in-memory run")
+        if self.k < 1:
+            raise ConfigError(f"k must be >= 1, got {self.k}")
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
         _check_seeds(self.base_seed, self.row_trials)
@@ -135,16 +128,8 @@ class ExperimentConfig:
         return 1 if self.dataset is DatasetKind.SAWTOOTH else self.trials
 
 
-class _Row:
-    """Base of the table rows: derives the per-element prediction column."""
-
-    @property
-    def predicted_per_element(self) -> float:
-        return self.predicted / self.n
-
-
 @dataclass(frozen=True)
-class ReportRow(_Row):
+class ReportRow:
     n: int
     dataset: str
     k: int
@@ -212,25 +197,22 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
 
 
 def _cell(column: str, value) -> str:
-    if "per_element" in column:
+    if column == "per_element_mean":
         return f"{value:.5f}"
     if column in ("comparisons_mean", "predicted") and value == int(value):
         return str(int(value))  # plain decimal: an integral mean or prediction loses the .0
     return str(value)
 
 
-def render_table(rows: list, columns: tuple[str, ...], fmt: str = "tsv") -> str:
-    """The one table writer: a header of ``columns``, then one line per row.
+def render_table(rows: list[ReportRow]) -> str:
+    """The one table writer: a header of ``REPORT_COLUMNS``, then one
+    tab-separated line per row.
 
-    ``fmt`` is ``tsv`` or ``csv``; any other value raises ConfigError.
-    Means and predictions print as plain decimals, every per-element column
-    to exactly 5 decimals.
+    Means and predictions print as plain decimals, ``per_element_mean`` to
+    exactly 5 decimals.
     """
-    if fmt not in ("tsv", "csv"):
-        raise ConfigError(f"unknown table format {fmt!r}; use 'tsv' or 'csv'")
-    sep = "\t" if fmt == "tsv" else ","
-    lines = [sep.join(columns)]
-    lines += [sep.join(_cell(c, getattr(r, c)) for c in columns) for r in rows]
+    lines = ["\t".join(REPORT_COLUMNS)]
+    lines += ["\t".join(_cell(c, getattr(r, c)) for c in REPORT_COLUMNS) for r in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -337,20 +319,3 @@ def run_verify(
                 summary.failures.append((trial, "; ".join(problems)))
     return summary
 
-
-@dataclass(frozen=True)
-class ModelRow(_Row):
-    n: int
-    k: int
-    predicted: float
-
-
-def run_model(k: int, exp_min: int, exp_max: int) -> list[ModelRow]:
-    """Model table rows; k is capped at n per row (all-distinct behavior)."""
-    _check_range(exp_min, exp_max, k)
-    rows = []
-    for exp in range(exp_min, exp_max + 1):
-        n = 1 << exp
-        k_eff = min(k, n)
-        rows.append(ModelRow(n=n, k=k_eff, predicted=predicted_cost(n, k_eff)))
-    return rows

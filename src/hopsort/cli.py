@@ -12,14 +12,10 @@ import sys
 
 from .bench import (
     DEFAULT_BUDGET,
-    MODEL_COLUMNS,
-    PER_ELEMENT_COLUMNS,
-    REPORT_COLUMNS,
     ConfigError,
     ExperimentConfig,
     render_table,
     run_experiment,
-    run_model,
     run_verify,
 )
 from .datasets import DatasetKind
@@ -40,9 +36,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--trials", type=int, help="seeded trials per row (default 100)")
     bench.add_argument("--seed", type=int, help="base seed; trial t uses seed+t (default 1)")
     bench.add_argument("--engine", choices=["baseline", "both", "hop"], default="both")
-    bench.add_argument("--mode", choices=["totals", "per-element"], default="totals")
-    bench.add_argument("--format", choices=["tsv", "csv"], default="tsv")
-    bench.add_argument("--out", help="write the canonical table to this file")
+    bench.add_argument("--out", help="write the table to this file instead of stdout")
     bench.add_argument(
         "--budget",
         type=int,
@@ -61,12 +55,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=DEFAULT_BUDGET,
         help=f"refuse a sweep with trials*max-n above this (default {DEFAULT_BUDGET})",
     )
-
-    model = sub.add_parser("model", help="print predicted costs from the closed form")
-    model.add_argument("--k", type=int, required=True)
-    model.add_argument("--exp-min", type=int, default=7)
-    model.add_argument("--exp-max", type=int, default=16)
-    model.add_argument("--format", choices=["tsv", "csv"], default="tsv")
 
     return parser
 
@@ -89,8 +77,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     for flag in _IGNORED_FLAGS.get(args.dataset, ()):
         if getattr(args, flag) is not None:
             raise ConfigError(f"--{flag} has no effect on --dataset {args.dataset}")
-    if args.mode == "per-element" and args.out:
-        raise ConfigError("--mode per-element is a stdout view; --out writes the canonical table")
     given = {"k": args.k, "trials": args.trials, "base_seed": args.seed}
     config = ExperimentConfig(
         dataset=args.dataset,
@@ -101,10 +87,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         # an unset flag takes ExperimentConfig's default
         **{name: value for name, value in given.items() if value is not None},
     )
-    columns = PER_ELEMENT_COLUMNS if args.mode == "per-element" else REPORT_COLUMNS
     with _open_out(args.out) as out:
         report = run_experiment(config)
-        out.write(render_table(report.rows, columns, args.format))
+        out.write(render_table(report.rows))
     for note in report.notes:
         print(note, file=sys.stderr)
     return 0
@@ -121,20 +106,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 1
 
 
-def _cmd_model(args: argparse.Namespace) -> int:
-    rows = run_model(args.k, args.exp_min, args.exp_max)
-    sys.stdout.write(render_table(rows, MODEL_COLUMNS, args.format))
-    return 0
-
-
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "bench":
             return _cmd_bench(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        return _cmd_model(args)
+        return _cmd_verify(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

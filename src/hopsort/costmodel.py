@@ -3,10 +3,10 @@
 ``predicted_cost`` is an upper bound on the hop engine's comparison count
 for any input of length n with k distinct keys.  The tests check it but
 nobody has proven it: ``tests/test_properties.py`` hunts for an input above
-it with random, sorted, descending and sawtooth inputs up to n = 300 and
-with seeded swap hill-climbs, and has found none.  It is nearly tight at
-k = 1, where hop spends 2n - log2(n) - 2 for n a power of two against a
-ceiling of 2n - 1.
+it with random, sorted, descending and sawtooth inputs up to n = 300, with
+seeded swap hill-climbs and with every input up to n = 6, and has found
+none.  It is nearly tight at k = 1, where hop spends 2n - log2(n) - 2 for n
+a power of two against a ceiling of 2n - 1.
 """
 
 from __future__ import annotations

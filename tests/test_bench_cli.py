@@ -10,16 +10,12 @@ import pytest
 
 from hopsort import MergeEngine, bench, cli
 from hopsort.bench import (
-    MODEL_COLUMNS,
-    PER_ELEMENT_COLUMNS,
-    REPORT_COLUMNS,
     ConfigError,
     ExperimentConfig,
     ExperimentReport,
     VerifySummary,
     render_table,
     run_experiment,
-    run_model,
     run_verify,
 )
 from hopsort.datasets import DatasetKind, Rng64
@@ -135,16 +131,20 @@ def test_budget_refusal_comes_before_any_sort(monkeypatch):
         dict(trials=0),
         dict(engines=()),
         dict(budget=0),
+        dict(exp_min=31, exp_max=31),
     ],
 )
 def test_run_experiment_rejects_bad_config(kw):
-    with pytest.raises(ConfigError):
+    # sawtooth runs one trial per row, so 2^31 is within the budget: the
+    # exponent cap itself must refuse it
+    match = "past any sane in-memory run" if kw.get("exp_max") == 31 else None
+    with pytest.raises(ConfigError, match=match):
         run_experiment(sawtooth_config(**kw))
 
 
 def test_render_report_tsv_shape():
     report = run_experiment(sawtooth_config(exp_max=7))
-    text = render_table(report.rows, REPORT_COLUMNS, "tsv")
+    text = render_table(report.rows)
     lines = text.splitlines()
     assert lines[0] == (
         "n\tdataset\tk\tengine\tcomparisons_mean\tcomparisons_min\tcomparisons_max"
@@ -159,38 +159,22 @@ def test_render_report_tsv_shape():
     assert len(lines) == 2
 
 
-def test_render_report_csv_swaps_separator():
-    report = run_experiment(sawtooth_config(exp_max=7))
-    assert render_table(report.rows, REPORT_COLUMNS, "csv").splitlines()[1].startswith(
-        "128,sawtooth,"
-    )
-
-
-def test_render_table_rejects_an_unknown_format():
-    for fmt in ("json", "TSV"):
-        with pytest.raises(ConfigError, match=repr(fmt)):
-            render_table([], REPORT_COLUMNS, fmt)
-
-
 def test_report_is_byte_deterministic():
     config = ExperimentConfig(dataset=DatasetKind.KDISTINCT, exp_min=7, exp_max=9, k=16, trials=4)
-    first = render_table(run_experiment(config).rows, REPORT_COLUMNS)
-    second = render_table(run_experiment(config).rows, REPORT_COLUMNS)
+    first = render_table(run_experiment(config).rows)
+    second = render_table(run_experiment(config).rows)
     assert first == second
 
 
 def test_per_element_view():
-    report = run_experiment(sawtooth_config(exp_max=7))
-    lines = render_table(report.rows, PER_ELEMENT_COLUMNS).splitlines()
-    assert lines[0] == "n\tdataset\tk\tengine\tper_element_mean\tpredicted_per_element"
-    assert lines[1] == "128\tsawtooth\t128\tbaseline\t3.50000\t8.00000"
-    # the two reference cells that need rounding, 11265/2048 and 65524/8192
+    # per_element_mean on the canonical table, at the two reference cells
+    # that need rounding: 11265/2048 and 65524/8192
     report = run_experiment(
         ExperimentConfig(dataset=DatasetKind.SAWTOOTH, exp_min=11, exp_max=13, k=1024)
     )
-    lines = render_table(report.rows, PER_ELEMENT_COLUMNS).splitlines()
-    assert "2048\tsawtooth\t1024\thop\t5.50049\t11.50000" in lines
-    assert "8192\tsawtooth\t1024\tbaseline\t7.99854\t11.87500" in lines
+    lines = render_table(report.rows).splitlines()
+    assert "2048\tsawtooth\t1024\thop\t11265\t11265\t11265\t5.50049\t23552" in lines
+    assert "8192\tsawtooth\t1024\tbaseline\t65524\t65524\t65524\t7.99854\t97280" in lines
 
 
 def test_run_verify_small_sweep_passes():
@@ -452,21 +436,6 @@ def test_run_verify_counts_a_dominance_failure(monkeypatch):
         assert message.startswith("dominance: hop ")
 
 
-def test_run_model_rows():
-    rows = run_model(k=4, exp_min=2, exp_max=4)
-    assert [(r.n, r.k, r.predicted) for r in rows] == [(4, 4, 12.0), (8, 4, 28.0), (16, 4, 60.0)]
-    text = render_table(rows, MODEL_COLUMNS)
-    assert text.splitlines()[0] == "n\tk\tpredicted\tpredicted_per_element"
-    assert text.splitlines()[3] == "16\t4\t60\t3.75000"
-
-
-def test_run_model_caps_k_at_n():
-    # k above n falls back to the all-distinct branch at that n
-    rows = run_model(k=1024, exp_min=3, exp_max=3)
-    assert rows[0].k == 8
-    assert rows[0].predicted == 8 + 8 * 3
-
-
 def test_cli_bench_prints_canonical_table(capsys):
     rc = cli.main(
         ["bench", "--dataset", "sawtooth", "--exp-min", "7", "--exp-max", "8",
@@ -487,10 +456,6 @@ def test_cli_bench_writes_identical_files_for_identical_config(tmp_path, capsys)
     assert cli.main(args + ["--out", str(path_b)]) == 0
     assert capsys.readouterr().out == ""  # table goes to the file, not stdout
     assert path_a.read_bytes() == path_b.read_bytes()
-    # per-element is a stdout view; asking a file for it is refused
-    path_c = tmp_path / "c.tsv"
-    assert cli.main(args + ["--mode", "per-element", "--out", str(path_c)]) == 2
-    assert not path_c.exists()
 
 
 @pytest.mark.parametrize(
@@ -500,8 +465,6 @@ def test_cli_bench_writes_identical_files_for_identical_config(tmp_path, capsys)
         (["--dataset", "sawtooth", "--trials", "50"], "--trials"),
         (["--dataset", "sawtooth", "--seed", "9"], "--seed"),
         (["--dataset", "sawtooth", "--trials", "100", "--seed", "1"], "--trials"),
-        (["--dataset", "kdistinct", "--k", "16", "--trials", "1", "--mode", "per-element"],
-         "--mode"),
     ],
 )
 def test_cli_bench_refuses_what_the_sweep_would_ignore(
@@ -529,15 +492,6 @@ def test_cli_bench_unset_flags_take_the_config_defaults(monkeypatch):
     for kind in DatasetKind:
         assert cli.main(["bench", "--dataset", kind.value, "--exp-min", "4", "--exp-max", "4"]) == 0
     assert seen == [ExperimentConfig(dataset=kind, exp_min=4, exp_max=4) for kind in DatasetKind]
-
-
-def test_cli_bench_per_element_mode_stdout(capsys):
-    rc = cli.main(
-        ["bench", "--dataset", "sawtooth", "--exp-min", "7", "--exp-max", "7",
-         "--engine", "baseline", "--mode", "per-element"]
-    )
-    assert rc == 0
-    assert capsys.readouterr().out.splitlines()[1].endswith("3.50000\t8.00000")
 
 
 def test_cli_bench_note_goes_to_stderr(capsys):
@@ -627,14 +581,9 @@ def test_cli_verify_failure_exit_code(monkeypatch, capsys):
     assert "first failure: trial 1" in out
 
 
-def test_cli_model_output(capsys):
-    rc = cli.main(["model", "--k", "4", "--exp-min", "4", "--exp-max", "4"])
-    assert rc == 0
-    assert capsys.readouterr().out.splitlines()[1] == "16\t4\t60\t3.75000"
-
-
-def test_cli_model_rejects_exponent_past_the_limit(capsys):
-    rc = cli.main(["model", "--k", "4", "--exp-min", "1030", "--exp-max", "1030"])
+def test_cli_bench_rejects_exponent_past_the_limit(monkeypatch, capsys):
+    monkeypatch.setattr(bench, "mergesort", _no_sort)
+    rc = cli.main(["bench", "--dataset", "sawtooth", "--exp-min", "1030", "--exp-max", "1030"])
     assert rc == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error: exp_max 1030")
@@ -658,7 +607,7 @@ def test_cli_module_runs_as_a_process():
     done = _run_cli_module("verify", "--trials", "20", "--max-n", "16", "--max-key", "4")
     assert done.returncode == 0, done.stderr
     assert done.stdout == "verify: 20/20 trials passed\n"
-    done = _run_cli_module("model", "--k", "4", "--exp-max", "31")
+    done = _run_cli_module("bench", "--dataset", "sawtooth", "--exp-max", "31")
     assert done.returncode == 2
     assert done.stderr.startswith("error:")
     assert done.stdout == ""

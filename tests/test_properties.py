@@ -1,6 +1,7 @@
-"""Randomized properties: both engines against the reference sort, the
-array oracles, and the structural invariants."""
+"""Randomized and exhaustive properties: both engines against the reference
+sort, the array oracles, the cost ceilings and the structural invariants."""
 
+import itertools
 import random
 
 import pytest
@@ -257,3 +258,38 @@ def test_swap_hill_climb_finds_no_input_above_the_ceiling(n, k):
             best = cost
         else:
             keys[i], keys[j] = keys[j], keys[i]
+
+
+# hop's largest count on any input of length n with k distinct keys, k = 1..n
+SMALL_N_WORST = {
+    1: [0],
+    2: [1, 1],
+    3: [3, 3, 3],
+    4: [4, 5, 5, 5],
+    5: [6, 9, 9, 9, 9],
+    6: [8, 10, 11, 11, 11, 11],
+}
+
+
+def test_exhaustive_small_n_search_stays_under_every_ceiling():
+    # every input of length n up to an order-preserving relabelling: each
+    # surjection onto 0..k-1, 1 + 3 + 13 + 75 + 541 + 4683 inputs in all
+    inputs = 0
+    for n, worst_by_k in SMALL_N_WORST.items():
+        # every merge of runs x and y inspects at most x + y - 1 pairs:
+        # 0, 1, 3, 5, 9 and 11 for n = 1..6
+        schedule_worst = sum(x + y - 1 for x, y in oracles.merge_schedule(n))
+        worst = [0] * n
+        for labels in itertools.product(range(n), repeat=n):
+            k = max(labels) + 1
+            if len(set(labels)) != k:
+                continue
+            inputs += 1
+            keys = list(labels)
+            hop = hop_count(keys)
+            assert hop <= sort_with_stats(keys, MergeEngine.BASELINE)[1].comparisons, keys
+            assert hop <= predicted_cost(n, k), keys
+            assert hop <= schedule_worst, keys
+            worst[k - 1] = max(worst[k - 1], hop)
+        assert worst == worst_by_k, n
+    assert inputs == 5316

@@ -1,9 +1,11 @@
-"""The package exports exactly what README documents."""
+"""README matches the package: its export list, its quick start and its
+sample table."""
 
 import re
 from pathlib import Path
 
 import hopsort
+from hopsort import cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -25,3 +27,23 @@ def test_every_documented_export_is_exported():
     assert names, "README's export list names no identifier"
     missing = names - set(hopsort.__all__)
     assert not missing, f"README lists {sorted(missing)} as exported but __all__ lacks them"
+
+
+def test_quick_start_prints_what_readme_shows(capsys):
+    text = README.read_text()
+    block = re.search(r"## Library quick start\n\n```python\n(.*?)```", text, re.S).group(1)
+    shown = re.search(r"^print\(out\) +# (.*)$", block, re.M).group(1)
+    exec(block, {})
+    assert capsys.readouterr().out.splitlines()[0] == shown
+
+
+def test_sample_bench_rows_are_what_the_command_prints(capsys):
+    text = README.read_text()
+    found = re.search(r"`hopsort (bench [^`]*)`\n.*?```\n(.*?)```", text, re.S)
+    command, sample = found.groups()
+    assert cli.main(command.split()) == 0
+    printed = capsys.readouterr().out
+    # README aligns the columns with spaces; compare field by field
+    assert [line.split() for line in sample.splitlines()] == [
+        line.split("\t") for line in printed.splitlines()
+    ]
