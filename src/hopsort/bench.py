@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import contextlib
 import gc
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .costmodel import predicted_cost
 from .datasets import _MASK64, DatasetKind, Rng64, generate
@@ -30,20 +30,6 @@ from .listcore import (
 # refusal threshold for n * trials of a single row; roughly bounds both the
 # node churn and the wall time a row may cost before the user must opt in
 DEFAULT_BUDGET = 1 << 25
-
-# the canonical table's columns, in order; render_table writes them
-REPORT_COLUMNS = (
-    "n",
-    "dataset",
-    "k",
-    "engine",
-    "comparisons_mean",
-    "comparisons_min",
-    "comparisons_max",
-    "per_element_mean",
-    "predicted",
-)
-
 
 class ConfigError(ValueError):
     """Invalid or refused run configuration."""
@@ -141,10 +127,13 @@ class ReportRow:
     predicted: float
 
 
+# the canonical table's columns, in ReportRow's field order; render_table writes them
+REPORT_COLUMNS = tuple(f.name for f in fields(ReportRow))
+
+
 @dataclass
 class ExperimentReport:
     rows: list[ReportRow]
-    notes: list[str] = field(default_factory=list)
     # raw per-trial comparison counts, keyed by (n, engine name); trials are
     # aligned across engines because both sort the same generated sequence
     samples: dict[tuple[int, str], list[int]] = field(default_factory=dict)
@@ -152,7 +141,6 @@ class ExperimentReport:
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     rows: list[ReportRow] = []
-    notes: list[str] = []
     samples: dict[tuple[int, str], list[int]] = {}
     with _gc_paused():
         for exp in range(config.exp_min, config.exp_max + 1):
@@ -182,18 +170,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
                     )
                 )
                 samples[(n, eng.value)] = vals
-    if (
-        config.dataset is DatasetKind.SAWTOOTH
-        and config.k == 1024
-        and config.exp_min <= 11 <= config.exp_max
-        and MergeEngine.HOP in config.engines
-    ):
-        notes.append(
-            "note: sawtooth hop n=2048 k=1024 measures 11265 comparisons total "
-            "(5.50049 per element); an alternate reference total of 11275 is in "
-            "circulation for this cell and is treated here as a misprint"
-        )
-    return ExperimentReport(rows=rows, notes=notes, samples=samples)
+    return ExperimentReport(rows=rows, samples=samples)
 
 
 def _cell(column: str, value) -> str:

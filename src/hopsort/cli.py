@@ -7,7 +7,6 @@ invalid or refused configuration.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import sys
 
 from .bench import (
@@ -36,7 +35,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--trials", type=int, help="seeded trials per row (default 100)")
     bench.add_argument("--seed", type=int, help="base seed; trial t uses seed+t (default 1)")
     bench.add_argument("--engine", choices=["baseline", "both", "hop"], default="both")
-    bench.add_argument("--out", help="write the table to this file instead of stdout")
     bench.add_argument(
         "--budget",
         type=int,
@@ -59,16 +57,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _open_out(path: str | None):
-    """The table's destination, opened before the sweep so a bad path costs no sort."""
-    if not path:
-        return contextlib.nullcontext(sys.stdout)
-    try:
-        return open(path, "w")
-    except OSError as exc:
-        raise ConfigError(f"--out: {exc}") from exc
-
-
 # flags a sweep would ignore: shuffled keys are all distinct, sawtooth is seedless
 _IGNORED_FLAGS = {"shuffled": ("k",), "sawtooth": ("trials", "seed")}
 
@@ -87,11 +75,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         # an unset flag takes ExperimentConfig's default
         **{name: value for name, value in given.items() if value is not None},
     )
-    with _open_out(args.out) as out:
-        report = run_experiment(config)
-        out.write(render_table(report.rows))
-    for note in report.notes:
-        print(note, file=sys.stderr)
+    sys.stdout.write(render_table(run_experiment(config).rows))
     return 0
 
 

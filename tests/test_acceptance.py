@@ -22,8 +22,8 @@ BOTH = (MergeEngine.BASELINE, MergeEngine.HOP)
 SAWTOOTH_BASELINE = {7: 448, 8: 1024, 9: 2304, 10: 5120, 11: 12287, 12: 28668, 13: 65524}
 SAWTOOTH_HOP = {12: 23556, 13: 48139}
 # the 2**11 hop cell: 11265 is consistent with the reference per-element
-# value 5.50049; 11275 also circulates for this cell and is accepted with a flag
-SAWTOOTH_HOP_2048 = (11265, 11275)
+# value 5.50049; the alternate reference 11275 is treated as a misprint
+SAWTOOTH_HOP_2048 = 11265
 
 # reference means for shuffled rows (statistical, 1% tolerance)
 SHUFFLED_MEAN = {7: 735, 8: 1725, 9: 3961, 10: 8946, 11: 19942, 12: 43974, 13: 96131}
@@ -126,8 +126,8 @@ def test_criterion_1_sawtooth_exact_totals(sawtooth_k1024):
         if got != want:
             problems.append(f"hop 2^{exp}: {got} != {want}")
     hop_2048 = totals[(2048, "hop")]
-    if hop_2048 not in SAWTOOTH_HOP_2048:
-        problems.append(f"hop 2^11: {hop_2048} not in {SAWTOOTH_HOP_2048}")
+    if hop_2048 != SAWTOOTH_HOP_2048:
+        problems.append(f"hop 2^11: {hop_2048} != {SAWTOOTH_HOP_2048}")
     flag = (
         f"hop 2^11 measured {int(hop_2048)} (alternate reference 11275 treated as misprint)"
     )

@@ -94,15 +94,6 @@ def test_run_experiment_engines_see_identical_trials():
         assert report.samples[(n, "baseline")] == report.samples[(n, "hop")]
 
 
-def test_run_experiment_emits_the_2048_note():
-    report = run_experiment(
-        ExperimentConfig(dataset=DatasetKind.SAWTOOTH, exp_min=11, exp_max=11, k=1024)
-    )
-    assert any("11265" in note and "11275" in note for note in report.notes)
-    report = run_experiment(sawtooth_config())  # range does not reach 2**11
-    assert report.notes == []
-
-
 def test_run_experiment_budget_refusal():
     with pytest.raises(ConfigError, match="budget"):
         ExperimentConfig(dataset=DatasetKind.SHUFFLED, exp_min=13, exp_max=13, trials=100_000)
@@ -447,15 +438,13 @@ def test_cli_bench_prints_canonical_table(capsys):
     assert "\t448\t" in out and "\t1024\t" in out
 
 
-def test_cli_bench_writes_identical_files_for_identical_config(tmp_path, capsys):
+def test_cli_bench_prints_identical_tables_for_identical_config(capsys):
     args = ["bench", "--dataset", "kdistinct", "--k", "16", "--exp-min", "7",
             "--exp-max", "8", "--trials", "3"]
-    path_a = tmp_path / "a.tsv"
-    path_b = tmp_path / "b.tsv"
-    assert cli.main(args + ["--out", str(path_a)]) == 0
-    assert cli.main(args + ["--out", str(path_b)]) == 0
-    assert capsys.readouterr().out == ""  # table goes to the file, not stdout
-    assert path_a.read_bytes() == path_b.read_bytes()
+    assert cli.main(args) == 0
+    first = capsys.readouterr().out
+    assert cli.main(args) == 0
+    assert capsys.readouterr().out == first
 
 
 @pytest.mark.parametrize(
@@ -467,18 +456,14 @@ def test_cli_bench_writes_identical_files_for_identical_config(tmp_path, capsys)
         (["--dataset", "sawtooth", "--trials", "100", "--seed", "1"], "--trials"),
     ],
 )
-def test_cli_bench_refuses_what_the_sweep_would_ignore(
-    monkeypatch, tmp_path, capsys, argv, flag
-):
-    # refused before any sort and before --out is touched, even at the default values
+def test_cli_bench_refuses_what_the_sweep_would_ignore(monkeypatch, capsys, argv, flag):
+    # refused before any sort, even at the default values
     monkeypatch.setattr(bench, "mergesort", _no_sort)
-    out = tmp_path / "t.tsv"
-    rc = cli.main(["bench", *argv, "--exp-min", "4", "--exp-max", "4", "--out", str(out)])
+    rc = cli.main(["bench", *argv, "--exp-min", "4", "--exp-max", "4"])
     assert rc == 2
     captured = capsys.readouterr()
     assert captured.err.startswith(f"error: {flag} ")
     assert captured.out == ""
-    assert not out.exists()
 
 
 def test_cli_bench_unset_flags_take_the_config_defaults(monkeypatch):
@@ -494,15 +479,14 @@ def test_cli_bench_unset_flags_take_the_config_defaults(monkeypatch):
     assert seen == [ExperimentConfig(dataset=kind, exp_min=4, exp_max=4) for kind in DatasetKind]
 
 
-def test_cli_bench_note_goes_to_stderr(capsys):
-    rc = cli.main(
-        ["bench", "--dataset", "sawtooth", "--exp-min", "11", "--exp-max", "11",
-         "--engine", "hop"]
-    )
-    assert rc == 0
+def test_cli_bench_prints_only_the_table_on_the_2048_sawtooth_cell(capsys):
+    # the cell with the 11265-versus-11275 erratum gets no note on any stream
+    args = ["--dataset", "sawtooth", "--k", "1024", "--exp-min", "11", "--exp-max", "11"]
+    assert cli.main(["bench", *args]) == 0
     captured = capsys.readouterr()
-    assert "11275" in captured.err
-    assert "11275" not in captured.out
+    config = ExperimentConfig(dataset=DatasetKind.SAWTOOTH, exp_min=11, exp_max=11, k=1024)
+    assert captured.out == render_table(run_experiment(config).rows)
+    assert captured.err == ""
 
 
 def test_cli_invalid_range_exits_2(capsys):
@@ -520,40 +504,12 @@ def test_cli_budget_refusal_exits_2(capsys):
     assert "budget" in capsys.readouterr().err
 
 
-def test_cli_budget_refusal_keeps_existing_out_file(tmp_path, capsys):
-    out = tmp_path / "t.tsv"
-    out.write_bytes(b"earlier table\n")
-    rc = cli.main(
-        ["bench", "--dataset", "shuffled", "--exp-min", "7", "--exp-max", "12",
-         "--trials", "200", "--budget", "500000", "--out", str(out)]
-    )
-    assert rc == 2
-    assert "budget" in capsys.readouterr().err
-    assert out.read_bytes() == b"earlier table\n"
-
-
-def test_cli_bench_unwritable_out_exits_2(monkeypatch, tmp_path, capsys):
-    def no_sweep(config):
-        raise AssertionError("ran the sweep before checking --out")
-
-    monkeypatch.setattr(cli, "run_experiment", no_sweep)
-    out = tmp_path / "missing" / "t.tsv"
-    rc = cli.main(
-        ["bench", "--dataset", "sawtooth", "--exp-min", "7", "--exp-max", "7",
-         "--out", str(out)]
-    )
-    assert rc == 2
-    captured = capsys.readouterr()
-    assert captured.err.startswith("error: ")
-    assert str(out) in captured.err
-    assert captured.out == ""
-    assert not out.exists()
-
-
 def test_cli_unknown_dataset_is_an_argparse_error():
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["bench", "--dataset", "zigzag"])
-    assert exc.value.code == 2
+    # an unknown choice or option is argparse's to refuse; bench writes only to stdout
+    for argv in (["--dataset", "zigzag"], ["--dataset", "sawtooth", "--out", "x.tsv"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["bench", *argv])
+        assert exc.value.code == 2
 
 
 def test_cli_verify_passes(capsys):
@@ -641,13 +597,10 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
         ("bench_kdistinct_k16_exp4-9_trials3.tsv", ["--dataset", "kdistinct", "--k", "16"]),
     ],
 )
-def test_cli_bench_tables_match_the_golden_bytes(golden, args, tmp_path):
-    out = tmp_path / "t.tsv"
-    rc = cli.main(
-        ["bench", *args, "--exp-min", "4", "--exp-max", "9", "--trials", "3", "--out", str(out)]
-    )
+def test_cli_bench_tables_match_the_golden_bytes(golden, args, capsys):
+    rc = cli.main(["bench", *args, "--exp-min", "4", "--exp-max", "9", "--trials", "3"])
     assert rc == 0
-    assert out.read_bytes() == (GOLDEN / golden).read_bytes()
+    assert capsys.readouterr().out.encode() == (GOLDEN / golden).read_bytes()
 
 
 SEED_TOP = 2**64 - 1  # Rng64 keeps a seed's low 64 bits; this is the last one it runs as given
