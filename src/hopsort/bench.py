@@ -27,9 +27,10 @@ from .listcore import (
     to_keys,
 )
 
-# refusal threshold for n * trials of a single row; roughly bounds both the
-# node churn and the wall time a row may cost before the user must opt in
-DEFAULT_BUDGET = 1 << 25
+# the work limit: the most n * trials a bench row, or trials * max_n a verify
+# sweep, may cost; it bounds both the node churn and the wall time.  A larger
+# sweep runs in --seed/--trials chunks, since trial t uses seed base + t
+BUDGET = 1 << 25
 
 class ConfigError(ValueError):
     """Invalid or refused run configuration."""
@@ -60,7 +61,8 @@ def _check_seeds(base_seed: int, trials: int) -> None:
 @dataclass(frozen=True)
 class ExperimentConfig:
     """A sweep configuration; construction raises ConfigError for an invalid
-    or over-budget one, so no sweep can start on it.  ``dataset`` and each
+    one, or for one with a row whose n * row_trials exceeds the fixed
+    ``BUDGET`` (2**25), so no sweep can start on it.  ``dataset`` and each
     engine may be given by name ("sawtooth", "hop") and are coerced to their
     enums."""
 
@@ -71,7 +73,6 @@ class ExperimentConfig:
     trials: int = 100
     base_seed: int = 1
     engines: tuple[MergeEngine | str, ...] = (MergeEngine.BASELINE, MergeEngine.HOP)
-    budget: int = DEFAULT_BUDGET
 
     def __post_init__(self) -> None:
         if isinstance(self.engines, str):
@@ -93,8 +94,6 @@ class ExperimentConfig:
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
         _check_seeds(self.base_seed, self.row_trials)
-        if self.budget < 1:
-            raise ConfigError(f"budget must be >= 1, got {self.budget}")
         if not self.engines:
             raise ConfigError("at least one engine is required")
         if len(set(self.engines)) != len(self.engines):
@@ -102,10 +101,9 @@ class ExperimentConfig:
             raise ConfigError(f"each engine may be given once, got {names}")
         for exp in range(self.exp_min, self.exp_max + 1):
             cost = (1 << exp) * self.row_trials
-            if cost > self.budget:
+            if cost > BUDGET:
                 raise ConfigError(
-                    f"refusing row n=2^{exp}: n*trials = {cost} exceeds the "
-                    f"budget of {self.budget}; raise --budget to opt in"
+                    f"refusing row n=2^{exp}: n*trials = {cost} exceeds the budget of {BUDGET}"
                 )
 
     @property
@@ -235,9 +233,7 @@ def _name_faults(
     return problems
 
 
-def run_verify(
-    trials: int, max_n: int, max_key: int, base_seed: int, budget: int = DEFAULT_BUDGET
-) -> VerifySummary:
+def run_verify(trials: int, max_n: int, max_key: int, base_seed: int) -> VerifySummary:
     """Randomized audit of both engines.
 
     Each trial draws n <= max_n keys in 0..max_key-1, sorts with both
@@ -245,7 +241,8 @@ def run_verify(
     stay increasing inside equal-key runs, every hop survives the full
     audit, the distinct count matches brute force, and the hop engine never
     inspects more pairs than the baseline.  A sweep whose trials * max_n
-    exceeds ``budget`` raises ConfigError before the first trial.
+    exceeds the fixed ``BUDGET`` (2**25) raises ConfigError before the
+    first trial.
 
     Each output is audited in one walk (``listcore._sorted_output_ok``);
     only an output that fails it goes through the named checks
@@ -261,12 +258,9 @@ def run_verify(
         raise ConfigError(f"max-n must be >= 0, got {max_n}")
     if max_key < 1:
         raise ConfigError(f"max-key must be >= 1, got {max_key}")
-    if budget < 1:
-        raise ConfigError(f"budget must be >= 1, got {budget}")
-    if trials * max_n > budget:
+    if trials * max_n > BUDGET:
         raise ConfigError(
-            f"refusing verify: trials*max_n = {trials * max_n} exceeds the "
-            f"budget of {budget}; raise --budget to opt in"
+            f"refusing verify: trials*max_n = {trials * max_n} exceeds the budget of {BUDGET}"
         )
     summary = VerifySummary(trials=trials)
     with _gc_paused():

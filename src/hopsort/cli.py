@@ -9,14 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .bench import (
-    DEFAULT_BUDGET,
-    ConfigError,
-    ExperimentConfig,
-    render_table,
-    run_experiment,
-    run_verify,
-)
+from .bench import ConfigError, ExperimentConfig, render_table, run_experiment, run_verify
 from .datasets import DatasetKind
 
 
@@ -35,24 +28,12 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--trials", type=int, help="seeded trials per row (default 100)")
     bench.add_argument("--seed", type=int, help="base seed; trial t uses seed+t (default 1)")
     bench.add_argument("--engine", choices=["baseline", "both", "hop"], default="both")
-    bench.add_argument(
-        "--budget",
-        type=int,
-        default=DEFAULT_BUDGET,
-        help=f"refuse any row with n*trials above this (default {DEFAULT_BUDGET})",
-    )
 
     verify = sub.add_parser("verify", help="randomized audit of both engines")
     verify.add_argument("--trials", type=int, default=1000)
     verify.add_argument("--max-n", type=int, default=256)
     verify.add_argument("--max-key", type=int, default=16)
     verify.add_argument("--seed", type=int, default=1)
-    verify.add_argument(
-        "--budget",
-        type=int,
-        default=DEFAULT_BUDGET,
-        help=f"refuse a sweep with trials*max-n above this (default {DEFAULT_BUDGET})",
-    )
 
     return parser
 
@@ -71,7 +52,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         exp_min=args.exp_min,
         exp_max=args.exp_max,
         engines=("baseline", "hop") if args.engine == "both" else (args.engine,),
-        budget=args.budget,
         # an unset flag takes ExperimentConfig's default
         **{name: value for name, value in given.items() if value is not None},
     )
@@ -80,7 +60,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    summary = run_verify(args.trials, args.max_n, args.max_key, args.seed, args.budget)
+    summary = run_verify(args.trials, args.max_n, args.max_key, args.seed)
     print(f"verify: {summary.passed}/{summary.trials} trials passed")
     if summary.ok:
         return 0

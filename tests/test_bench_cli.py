@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from hopsort import MergeEngine, bench, cli
+from hopsort import MergeEngine, bench, cli, sort_with_stats
 from hopsort.bench import (
     ConfigError,
     ExperimentConfig,
@@ -60,7 +60,7 @@ def test_run_experiment_shuffled_k_column_is_n():
     assert row.dataset == "shuffled"
 
 
-def test_config_coerces_dataset_and_engine_names():
+def test_config_coerces_dataset_and_engine_names(monkeypatch):
     config = ExperimentConfig(dataset="sawtooth", exp_min=3, exp_max=3, trials=2, engines=("hop",))
     assert config.dataset is DatasetKind.SAWTOOTH
     assert config.engines == (MergeEngine.HOP,)
@@ -69,7 +69,8 @@ def test_config_coerces_dataset_and_engine_names():
     assert [(r.n, r.dataset, r.engine) for r in report.rows] == [(8, "sawtooth", "hop")]
     assert len(report.samples[(8, "hop")]) == 1
     # and the budget counts its rows once as well
-    ExperimentConfig(dataset="sawtooth", exp_min=3, exp_max=3, trials=8, budget=8)
+    monkeypatch.setattr(bench, "BUDGET", 8)
+    ExperimentConfig(dataset="sawtooth", exp_min=3, exp_max=3, trials=8)
     with pytest.raises(ConfigError):
         ExperimentConfig(dataset="zigzag", exp_min=3, exp_max=3)
     with pytest.raises(ConfigError):
@@ -97,6 +98,10 @@ def test_run_experiment_engines_see_identical_trials():
 def test_run_experiment_budget_refusal():
     with pytest.raises(ConfigError, match="budget"):
         ExperimentConfig(dataset=DatasetKind.SHUFFLED, exp_min=13, exp_max=13, trials=100_000)
+    # a row of exactly 2^25 keys is within the limit; one key-trial more is not
+    ExperimentConfig(dataset=DatasetKind.SHUFFLED, exp_min=25, exp_max=25, trials=1)
+    with pytest.raises(ConfigError, match=r"n\*trials = 67108864 exceeds the budget of 33554432$"):
+        ExperimentConfig(dataset=DatasetKind.SHUFFLED, exp_min=25, exp_max=25, trials=2)
 
 
 def test_budget_refusal_comes_before_any_sort(monkeypatch):
@@ -104,12 +109,10 @@ def test_budget_refusal_comes_before_any_sort(monkeypatch):
         raise AssertionError("sorted a row of a refused sweep")
 
     monkeypatch.setattr(bench, "mergesort", no_sort)
-    # rows 2^7..2^11 fit the budget, 2^12 does not: the whole sweep is refused up front
-    with pytest.raises(ConfigError, match=r"n=2\^12: .* budget"):
+    # rows 2^7..2^17 fit the budget, 2^18 does not: the whole sweep is refused up front
+    with pytest.raises(ConfigError, match=r"n=2\^18: .* budget"):
         run_experiment(
-            ExperimentConfig(
-                dataset=DatasetKind.SHUFFLED, exp_min=7, exp_max=12, trials=200, budget=500_000
-            )
+            ExperimentConfig(dataset=DatasetKind.SHUFFLED, exp_min=7, exp_max=18, trials=200)
         )
 
 
@@ -121,13 +124,12 @@ def test_budget_refusal_comes_before_any_sort(monkeypatch):
         dict(k=0),
         dict(trials=0),
         dict(engines=()),
-        dict(budget=0),
         dict(exp_min=31, exp_max=31),
     ],
 )
 def test_run_experiment_rejects_bad_config(kw):
-    # sawtooth runs one trial per row, so 2^31 is within the budget: the
-    # exponent cap itself must refuse it
+    # the exponent cap is checked before the budget, so it is what refuses
+    # 2^31, before any 2^exp is computed
     match = "past any sane in-memory run" if kw.get("exp_max") == 31 else None
     with pytest.raises(ConfigError, match=match):
         run_experiment(sawtooth_config(**kw))
@@ -196,17 +198,16 @@ def _no_sort(*args, **kwargs):
 
 def test_run_verify_budget_refusal_comes_before_any_trial(monkeypatch):
     monkeypatch.setattr(bench, "mergesort", _no_sort)
-    with pytest.raises(ConfigError, match=r"trials\*max_n = 256000 exceeds the budget of 255999"):
-        run_verify(trials=1000, max_n=256, max_key=16, base_seed=1, budget=255_999)
-    with pytest.raises(ConfigError, match="budget must be >= 1"):
-        run_verify(trials=1, max_n=8, max_key=2, base_seed=1, budget=0)
-    # the default budget refuses a sweep too large to finish
-    with pytest.raises(ConfigError, match="budget"):
-        run_verify(trials=1 << 20, max_n=256, max_key=16, base_seed=1)
+    # one trial past 2^25 / 256
+    with pytest.raises(
+        ConfigError, match=r"trials\*max_n = 33554688 exceeds the budget of 33554432$"
+    ):
+        run_verify(trials=131_073, max_n=256, max_key=16, base_seed=1)
 
 
-def test_run_verify_budget_is_inclusive():
-    assert run_verify(trials=4, max_n=8, max_key=2, base_seed=1, budget=32).ok
+def test_run_verify_budget_is_inclusive(monkeypatch):
+    monkeypatch.setattr(bench, "BUDGET", 32)
+    assert run_verify(trials=4, max_n=8, max_key=2, base_seed=1).ok
 
 
 class _SortError(Exception):
@@ -241,6 +242,26 @@ def test_sweeps_leave_the_collector_as_they_found_it(monkeypatch):
         assert seen_during_sort == [False] * 4
     finally:
         gc.enable() if was_enabled else gc.disable()
+
+
+def test_entry_points_leave_no_cyclic_garbage():
+    # a self-hop makes every node a reference cycle, so each entry point must
+    # dispose the nodes it builds or leave them for the cyclic collector
+    entry_points = (
+        lambda: sort_with_stats(list(range(1000, 0, -1)), "hop"),
+        lambda: run_experiment(sawtooth_config(exp_min=3, exp_max=6)),
+        lambda: run_verify(20, 64, 4, 1),
+    )
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for entry_point in entry_points:
+            gc.collect()
+            entry_point()
+            assert gc.collect() == 0
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def _drawn_keys(trials, max_n, max_key, base_seed):
@@ -506,7 +527,11 @@ def test_cli_budget_refusal_exits_2(capsys):
 
 def test_cli_unknown_dataset_is_an_argparse_error():
     # an unknown choice or option is argparse's to refuse; bench writes only to stdout
-    for argv in (["--dataset", "zigzag"], ["--dataset", "sawtooth", "--out", "x.tsv"]):
+    for argv in (
+        ["--dataset", "zigzag"],
+        ["--dataset", "sawtooth", "--out", "x.tsv"],
+        ["--dataset", "sawtooth", "--budget", "1000"],
+    ):
         with pytest.raises(SystemExit) as exc:
             cli.main(["bench", *argv])
         assert exc.value.code == 2
@@ -522,9 +547,10 @@ def test_cli_verify_budget_refusal_exits_2(monkeypatch, capsys):
     monkeypatch.setattr(bench, "mergesort", _no_sort)
     assert cli.main(["verify", "--trials", str(1 << 20), "--max-n", "256"]) == 2
     assert "budget of 33554432" in capsys.readouterr().err
-    rc = cli.main(["verify", "--trials", "10", "--max-n", "32", "--budget", "319"])
-    assert rc == 2
-    assert "raise --budget" in capsys.readouterr().err
+    # the limit is fixed: --budget is an unknown option
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--trials", "10", "--max-n", "32", "--budget", "319"])
+    assert exc.value.code == 2
 
 
 def test_cli_verify_failure_exit_code(monkeypatch, capsys):
