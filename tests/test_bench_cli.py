@@ -124,13 +124,17 @@ def test_budget_refusal_comes_before_any_sort(monkeypatch):
         dict(k=0),
         dict(trials=0),
         dict(engines=()),
+        dict(exp_min=26, exp_max=26),
         dict(exp_min=31, exp_max=31),
     ],
 )
 def test_run_experiment_rejects_bad_config(kw):
-    # the exponent cap is checked before the budget, so it is what refuses
-    # 2^31, before any 2^exp is computed
-    match = "past any sane in-memory run" if kw.get("exp_max") == 31 else None
+    # sawtooth counts one trial per row, so 2^26 is refused by the fixed budget
+    # alone; the exponent cap is checked before the budget, so it is what
+    # refuses 2^31, before any 2^exp is computed
+    match = {26: "exceeds the budget of 33554432$", 31: "past any sane in-memory run"}.get(
+        kw.get("exp_max")
+    )
     with pytest.raises(ConfigError, match=match):
         run_experiment(sawtooth_config(**kw))
 
