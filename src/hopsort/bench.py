@@ -50,9 +50,8 @@ def _gc_paused():
 
 
 def _check_seeds(base_seed: int, trials: int) -> None:
-    """Seeds base_seed .. base_seed+trials-1 must all lie in 0..2**64-1:
-    ``Rng64`` keeps a seed's low 64 bits, so one outside would silently run
-    another seed's stream."""
+    """Seeds base_seed .. base_seed+trials-1 must all lie in 0..2**64-1, the
+    seeds ``Rng64`` accepts, so a sweep is refused before its first sort."""
     last = base_seed + trials - 1
     if base_seed < 0 or last > _MASK64:
         raise ConfigError(f"seeds {base_seed}..{last} leave the range 0..2**64-1")
@@ -61,17 +60,19 @@ def _check_seeds(base_seed: int, trials: int) -> None:
 @dataclass(frozen=True)
 class ExperimentConfig:
     """A sweep configuration; construction raises ConfigError for an invalid
-    one, or for one with a row whose n * row_trials exceeds the fixed
-    ``BUDGET`` (2**25), so no sweep can start on it.  ``dataset`` and each
-    engine may be given by name ("sawtooth", "hop") and are coerced to their
-    enums."""
+    one, or for one with a row whose n * trials exceeds the fixed ``BUDGET``
+    (2**25), so no sweep can start on it.  ``dataset`` and each engine may
+    be given by name ("sawtooth", "hop") and are coerced to their enums.
+    Unset (None), ``k``, ``trials`` and ``base_seed`` take 1024, 100 and 1;
+    one the dataset ignores (``k`` on shuffled, ``trials`` and ``base_seed``
+    on sawtooth) is refused when set and takes a moot value when unset."""
 
     dataset: DatasetKind | str
     exp_min: int
     exp_max: int
-    k: int = 1024
-    trials: int = 100
-    base_seed: int = 1
+    k: int | None = None
+    trials: int | None = None
+    base_seed: int | None = None
     engines: tuple[MergeEngine | str, ...] = (MergeEngine.BASELINE, MergeEngine.HOP)
 
     def __post_init__(self) -> None:
@@ -89,27 +90,31 @@ class ExperimentConfig:
             raise ConfigError(f"need 0 <= exp_min <= exp_max, got {self.exp_min}..{self.exp_max}")
         if self.exp_max > 30:
             raise ConfigError(f"exp_max {self.exp_max} is past any sane in-memory run")
+        ignored = {  # each field a dataset ignores, with the value that makes it moot
+            DatasetKind.SHUFFLED: {"k": 1 << self.exp_max},  # all distinct: every row's k is n
+            DatasetKind.SAWTOOTH: {"trials": 1, "base_seed": 1},  # seedless: each row runs once
+        }.get(dataset, {})
+        for name, default in {"k": 1024, "trials": 100, "base_seed": 1, **ignored}.items():
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, default)
+            elif name in ignored:
+                raise ConfigError(f"{name} has no effect on dataset {dataset.value}")
         if self.k < 1:
             raise ConfigError(f"k must be >= 1, got {self.k}")
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
-        _check_seeds(self.base_seed, self.row_trials)
+        _check_seeds(self.base_seed, self.trials)
         if not self.engines:
             raise ConfigError("at least one engine is required")
         if len(set(self.engines)) != len(self.engines):
             names = ", ".join(e.value for e in self.engines)
             raise ConfigError(f"each engine may be given once, got {names}")
         for exp in range(self.exp_min, self.exp_max + 1):
-            cost = (1 << exp) * self.row_trials
+            cost = (1 << exp) * self.trials
             if cost > BUDGET:
                 raise ConfigError(
                     f"refusing row n=2^{exp}: n*trials = {cost} exceeds the budget of {BUDGET}"
                 )
-
-    @property
-    def row_trials(self) -> int:
-        """Trials per row: sawtooth is seedless, so it runs once."""
-        return 1 if self.dataset is DatasetKind.SAWTOOTH else self.trials
 
 
 @dataclass(frozen=True)
@@ -144,13 +149,13 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         for exp in range(config.exp_min, config.exp_max + 1):
             n = 1 << exp
             counts: dict[MergeEngine, list[int]] = {eng: [] for eng in config.engines}
-            for trial in range(config.row_trials):
+            for trial in range(config.trials):
                 keys = generate(config.dataset, n, config.k, config.base_seed + trial)
                 for eng in config.engines:
                     lst, stats = mergesort(from_keys(keys), eng)
                     counts[eng].append(stats.comparisons)
                     dispose(lst)
-            k_eff = n if config.dataset is DatasetKind.SHUFFLED else min(config.k, n)
+            k_eff = min(config.k, n)
             for eng in config.engines:
                 vals = counts[eng]
                 mean = sum(vals) / len(vals)

@@ -38,22 +38,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# flags a sweep would ignore: shuffled keys are all distinct, sawtooth is seedless
-_IGNORED_FLAGS = {"shuffled": ("k",), "sawtooth": ("trials", "seed")}
-
-
 def _cmd_bench(args: argparse.Namespace) -> int:
-    for flag in _IGNORED_FLAGS.get(args.dataset, ()):
-        if getattr(args, flag) is not None:
-            raise ConfigError(f"--{flag} has no effect on --dataset {args.dataset}")
-    given = {"k": args.k, "trials": args.trials, "base_seed": args.seed}
     config = ExperimentConfig(
         dataset=args.dataset,
         exp_min=args.exp_min,
         exp_max=args.exp_max,
+        k=args.k,
+        trials=args.trials,
+        base_seed=args.seed,
         engines=("baseline", "hop") if args.engine == "both" else (args.engine,),
-        # an unset flag takes ExperimentConfig's default
-        **{name: value for name, value in given.items() if value is not None},
     )
     sys.stdout.write(render_table(run_experiment(config).rows))
     return 0

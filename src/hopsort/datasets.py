@@ -37,12 +37,15 @@ _LANE_STEPS = _lanes([(i + 1) * _GAMMA & _MASK64 for i in range(_LANES)])
 
 
 class Rng64:
-    """splitmix64 stream: 64-bit state, 64-bit outputs, equal seeds -> equal streams."""
+    """splitmix64 stream: 64-bit state, 64-bit outputs, equal seeds -> equal
+    streams; a seed outside 0..2**64-1 raises ValueError rather than alias."""
 
     __slots__ = ("state",)
 
     def __init__(self, seed: int):
-        self.state = seed & _MASK64
+        if not 0 <= seed <= _MASK64:
+            raise ValueError(f"seed must lie in 0..2**64-1, got {seed}")
+        self.state = seed
 
     def next(self) -> int:
         self.state = (self.state + _GAMMA) & _MASK64
@@ -94,7 +97,7 @@ class DatasetKind(enum.Enum):
 
 def generate(kind: DatasetKind, n: int, k: int, seed: int) -> list[int]:
     """The one input sequence that ``(kind, n, k, seed)`` pins down; sawtooth
-    ignores ``seed`` and shuffled ignores ``k``."""
+    ignores ``seed`` and shuffled ``k``, which ``ExperimentConfig`` refuses."""
     if kind is DatasetKind.SHUFFLED:
         return gen_shuffled(n, seed)
     if kind is DatasetKind.SAWTOOTH:

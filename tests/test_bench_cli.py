@@ -61,22 +61,50 @@ def test_run_experiment_shuffled_k_column_is_n():
 
 
 def test_config_coerces_dataset_and_engine_names(monkeypatch):
-    config = ExperimentConfig(dataset="sawtooth", exp_min=3, exp_max=3, trials=2, engines=("hop",))
+    config = ExperimentConfig(dataset="sawtooth", exp_min=3, exp_max=3, engines=("hop",))
     assert config.dataset is DatasetKind.SAWTOOTH
     assert config.engines == (MergeEngine.HOP,)
+    # sawtooth by name is still seedless: one trial, not the default 100
+    assert config.trials == 1
     report = run_experiment(config)
-    # sawtooth by name is still seedless: one trial, not two
     assert [(r.n, r.dataset, r.engine) for r in report.rows] == [(8, "sawtooth", "hop")]
     assert len(report.samples[(8, "hop")]) == 1
     # and the budget counts its rows once as well
     monkeypatch.setattr(bench, "BUDGET", 8)
-    ExperimentConfig(dataset="sawtooth", exp_min=3, exp_max=3, trials=8)
+    ExperimentConfig(dataset="sawtooth", exp_min=3, exp_max=3)
     with pytest.raises(ConfigError):
         ExperimentConfig(dataset="zigzag", exp_min=3, exp_max=3)
     with pytest.raises(ConfigError):
         ExperimentConfig(dataset="sawtooth", exp_min=3, exp_max=3, engines=("quick",))
     with pytest.raises(ConfigError, match="tuple of engine names"):
         ExperimentConfig(dataset="kdistinct", exp_min=3, exp_max=3, engines="hop")
+
+
+@pytest.mark.parametrize("by_name", [False, True], ids=["enum", "name"])
+def test_config_refuses_the_fields_a_dataset_ignores(monkeypatch, by_name):
+    def config(kind, **kw):
+        dataset = kind.value if by_name else kind
+        return ExperimentConfig(dataset=dataset, exp_min=4, exp_max=6, **kw)
+
+    # unset, a field takes its default, or the value that makes it moot
+    sawtooth = config(DatasetKind.SAWTOOTH)
+    assert (sawtooth.k, sawtooth.trials) == (1024, 1)
+    kdistinct = config(DatasetKind.KDISTINCT)
+    assert (kdistinct.k, kdistinct.trials, kdistinct.base_seed) == (1024, 100, 1)
+    shuffled = config(DatasetKind.SHUFFLED, trials=2, engines=BASELINE_ONLY)
+    assert [(r.n, r.k) for r in run_experiment(shuffled).rows] == [(16, 16), (32, 32), (64, 64)]
+    # set, it is refused before any sort, even at its default or its moot value
+    monkeypatch.setattr(bench, "mergesort", _no_sort)
+    ignored = [
+        (DatasetKind.SHUFFLED, "k", (5, 64, 1024)),
+        (DatasetKind.SAWTOOTH, "trials", (1, 50, 100)),
+        (DatasetKind.SAWTOOTH, "base_seed", (1, 9)),
+    ]
+    for kind, name, values in ignored:
+        refusal = f"^{name} has no effect on dataset {kind.value}$"
+        for value in values:
+            with pytest.raises(ConfigError, match=refusal):
+                run_experiment(config(kind, **{name: value}))
 
 
 def test_config_rejects_a_repeated_engine():
@@ -122,7 +150,7 @@ def test_budget_refusal_comes_before_any_sort(monkeypatch):
         dict(exp_min=5, exp_max=3),
         dict(exp_min=-1, exp_max=3),
         dict(k=0),
-        dict(trials=0),
+        dict(dataset=DatasetKind.KDISTINCT, trials=0),  # sawtooth refuses any trials
         dict(engines=()),
         dict(exp_min=26, exp_max=26),
         dict(exp_min=31, exp_max=31),
@@ -487,7 +515,9 @@ def test_cli_bench_refuses_what_the_sweep_would_ignore(monkeypatch, capsys, argv
     rc = cli.main(["bench", *argv, "--exp-min", "4", "--exp-max", "4"])
     assert rc == 2
     captured = capsys.readouterr()
-    assert captured.err.startswith(f"error: {flag} ")
+    # the refusal is ExperimentConfig's, so it names the field behind the flag
+    field = {"--k": "k", "--trials": "trials", "--seed": "base_seed"}[flag]
+    assert captured.err.startswith(f"error: {field} has no effect on dataset ")
     assert captured.out == ""
 
 
@@ -633,7 +663,7 @@ def test_cli_bench_tables_match_the_golden_bytes(golden, args, capsys):
     assert capsys.readouterr().out.encode() == (GOLDEN / golden).read_bytes()
 
 
-SEED_TOP = 2**64 - 1  # Rng64 keeps a seed's low 64 bits; this is the last one it runs as given
+SEED_TOP = 2**64 - 1  # the last seed Rng64 accepts
 ONE_ROW = ("--exp-min", "4", "--exp-max", "4")
 
 
@@ -650,9 +680,14 @@ def test_config_refuses_seeds_outside_64_bits_before_any_sort(
     monkeypatch, dataset, base_seed, trials
 ):
     monkeypatch.setattr(bench, "mergesort", _no_sort)
-    with pytest.raises(ConfigError, match=r"leave the range 0\.\.2\*\*64-1"):
+    # sawtooth is seedless, so it refuses the trials and seed before their range
+    if dataset is DatasetKind.SAWTOOTH:
+        match = "trials has no effect on dataset sawtooth"
+    else:
+        match = r"leave the range 0\.\.2\*\*64-1"
+    with pytest.raises(ConfigError, match=match):
         ExperimentConfig(
-            dataset=dataset, exp_min=4, exp_max=4, k=4, trials=trials, base_seed=base_seed
+            dataset=dataset, exp_min=4, exp_max=4, trials=trials, base_seed=base_seed
         )
 
 
@@ -662,8 +697,9 @@ def test_config_accepts_seeds_at_both_edges():
             dataset=DatasetKind.SHUFFLED, exp_min=4, exp_max=4, trials=trials, base_seed=base_seed
         )
         assert len(run_experiment(config).samples[(16, "hop")]) == trials
-    # sawtooth runs one trial, so only its one seed must fit
-    sawtooth_config(exp_min=4, exp_max=4, trials=50, base_seed=SEED_TOP)
+    # sawtooth is seedless: even a seed in range is refused
+    with pytest.raises(ConfigError, match="trials has no effect on dataset sawtooth"):
+        sawtooth_config(exp_min=4, exp_max=4, trials=50, base_seed=SEED_TOP)
 
 
 def test_run_verify_refuses_seeds_outside_64_bits_before_any_trial(monkeypatch):

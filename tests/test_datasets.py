@@ -41,6 +41,19 @@ def test_rng_same_seed_same_stream():
     assert a == b
 
 
+def test_rng_refuses_a_seed_outside_64_bits():
+    # masked to 64 bits, -1 and 2**64 would run the streams of 2**64-1 and 0
+    seeded = (Rng64, lambda seed: gen_shuffled(8, seed), lambda seed: gen_kdistinct(8, 3, seed))
+    for seed in (-1, 2**64):
+        for make in seeded:
+            with pytest.raises(ValueError, match=r"seed must lie in 0\.\.2\*\*64-1"):
+                make(seed)
+    for seed in (0, 2**64 - 1):
+        assert Rng64(seed).state == seed
+        assert sorted(gen_shuffled(8, seed)) == list(range(8))
+        assert sorted(gen_kdistinct(8, 3, seed)) == sorted(gen_sawtooth(8, 3))
+
+
 def test_sawtooth_ramps():
     assert gen_sawtooth(6, 3) == [0, 1, 2, 0, 1, 2]
     assert gen_sawtooth(4, 1024) == [0, 1, 2, 3]
