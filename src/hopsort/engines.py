@@ -79,7 +79,7 @@ class ComparisonCounter:
         return f"ComparisonCounter(invocations={self.invocations})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SortStats:
     """What one sort call measured: its key-pair inspections."""
 
@@ -202,76 +202,70 @@ def _regroup_equal_regions(head: Node, marked: set[Node]) -> Node:
 
     Walks the chain by hop, one step per fragment.  A fragment whose
     successor is not in ``marked`` (the sort's head-tie marks) is left
-    alone; a run of marked successors is one equal-key region.  Each of its
-    fragments is in origin order already, so the region is rebuilt by
-    merging them on ``origin``, folding from the back: each fragment merges
-    into the merge of those after it and wins a tie, so equal origins keep
-    chain order.  The region's first node then hops to its last; every
-    other node keeps its hop, which a merge leaves pointing forward inside
-    the region.  ``marked`` is only read.  No keys are inspected.
+    alone; a run of marked successors is one equal-key region, cut into a
+    list of its fragment heads.  Each fragment is in origin order already,
+    so the region is rebuilt by merging them on ``origin``, folding from the
+    back: each fragment, its end read from its head's ``hop``, merges into
+    the merge of those after it and wins a tie, so equal origins keep chain
+    order.  The region's first node then hops to its last; every other node
+    keeps its hop, which a merge leaves pointing forward inside the region.
+    ``marked`` is only read.  No keys are inspected.
     """
     tail: Node | None = None  # last node of the chain rebuilt so far
     node: Node | None = head
     while node is not None:
-        last = node.hop
-        nxt = last.next
-        if nxt not in marked:
-            tail = last
-            node = nxt
-            continue
-        # cut the region into fragments: a .. a_end and b .. end are its last
-        # two, and any before them wait in ``earlier`` (most regions have two)
-        earlier = []
-        a, a_end = node, last
-        b = nxt
-        end = b.hop
+        end = node.hop
         nxt = end.next
-        while nxt in marked:
-            earlier.append((a, a_end))
-            a, a_end = b, end
-            b = nxt
-            end = b.hop
-            nxt = end.next
-        # in streaks: one node per step ran this pass 1.45-1.6x slower (audit, CPython 3.11)
-        while True:
-            # merge a .. a_end into b .. end on origin, in streaks, a winning
-            # a tie.  The merged end is the end of the side left over, never
-            # the node of largest origin, since origins may repeat.  A side
-            # whose end lies below the other side's head is linked whole;
-            # otherwise that end stops the streak's walk, so the walk needs
-            # no end test
-            first = b if b.origin < a.origin else a
-            while True:
-                ao = a.origin
-                if b.origin < ao:
-                    if end.origin < ao:
-                        end.next = a
-                        end = a_end
+        if nxt in marked:
+            # cut the region into fragment heads; its last fragment, b .. end,
+            # starts the fold (most regions have two fragments in all)
+            heads = []
+            b = node
+            while nxt in marked:
+                heads.append(b)
+                b = nxt
+                end = b.hop
+                nxt = end.next
+            while heads:
+                # merge a .. a_end into b .. end on origin, a winning a tie, in
+                # streaks: one node per step ran this pass 1.45-1.6x slower
+                # (audit, CPython 3.11).  A popped fragment is untouched and a
+                # merge writes no hop, so a still hops to a_end.  The merged end
+                # is the end of the side left over, never the node of largest
+                # origin, since origins may repeat.  A side whose end lies below
+                # the other side's head is linked whole; otherwise that end
+                # stops the streak's walk, so the walk needs no end test
+                a = heads.pop()
+                a_end = a.hop
+                first = b if b.origin < a.origin else a
+                while True:
+                    ao = a.origin
+                    if b.origin < ao:
+                        if end.origin < ao:
+                            end.next = a
+                            end = a_end
+                            break
+                        p = b
+                        while p.next.origin < ao:
+                            p = p.next
+                        b = p.next
+                        p.next = a
+                    bo = b.origin
+                    if a_end.origin <= bo:
+                        a_end.next = b
                         break
-                    p = b
-                    while p.next.origin < ao:
+                    p = a
+                    while p.next.origin <= bo:
                         p = p.next
-                    b = p.next
-                    p.next = a
-                bo = b.origin
-                if a_end.origin <= bo:
-                    a_end.next = b
-                    break
-                p = a
-                while p.next.origin <= bo:
-                    p = p.next
-                a = p.next
-                p.next = b
-            b = first
-            if not earlier:
-                break
-            a, a_end = earlier.pop()
-        b.hop = end
-        end.next = nxt
-        if tail is None:
-            head = b
-        else:
-            tail.next = b
+                    a = p.next
+                    p.next = b
+                b = first
+            b.hop = end
+            end.next = nxt
+            if tail is None:
+                head = b
+            else:
+                tail.next = b
         tail = end
         node = nxt
     return head

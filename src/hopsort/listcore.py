@@ -187,8 +187,8 @@ def distinct_key_count(lst: SortList) -> int:
 
     One walk of at most ``lst.length`` steps that builds nothing.  A drop,
     an overrun (a backward hop, a cycle or an understated length) or a hop
-    onto another key hands the list to ``_count_walk_keys``, so a broken
-    hop raises ``hop_walk``'s HopError ahead of any drop.
+    onto another key falls back to counting along the materialised
+    ``hop_walk``, so a broken hop raises its HopError ahead of any drop.
     """
     node = lst.head
     if node is None:
@@ -213,14 +213,8 @@ def distinct_key_count(lst: SortList) -> int:
         node = target.next
     else:
         return count
-    return _count_walk_keys(lst)
-
-
-def _count_walk_keys(lst: SortList) -> int:
-    """Key changes along the materialised ``hop_walk``; raises its HopError,
-    else NotSortedError at the first walk step whose key drops."""
     keys = [node.key for node in hop_walk(lst)]
-    count = 1 if keys else 0
+    count = 1
     for step in range(1, len(keys)):
         if keys[step] != keys[step - 1]:
             if keys[step] < keys[step - 1]:

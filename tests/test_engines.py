@@ -4,6 +4,7 @@ Expected counts marked "oracle" were computed with the array-based
 reimplementation in oracles.py before this package existed, then frozen.
 """
 
+import dataclasses
 import random
 
 import pytest
@@ -13,6 +14,7 @@ from hopsort import (
     ComparisonCounter,
     MergeEngine,
     SortList,
+    SortStats,
     Verdict,
     check_hop_valid,
     check_sorted_stable,
@@ -168,6 +170,16 @@ def test_mergesort_takes_only_a_list_and_an_engine():
     assert to_keys(lst) == [3, 1, 2]
 
 
+def test_sort_stats_is_a_frozen_value_without_an_instance_dict():
+    # every sort builds one, so it carries slots rather than a __dict__
+    stats = SortStats(1)
+    assert not hasattr(stats, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        stats.comparisons = 2
+    assert stats == SortStats(1) != SortStats(2)
+    assert repr(stats) == "SortStats(comparisons=1)"
+
+
 def test_raising_key_comparison_propagates():
     # "a" against an int raises TypeError in the first merge that meets it
     keys = [3, 1, "a", 2, 5, 0]
@@ -321,8 +333,16 @@ class Unordered:
         [[[0, 5], [10]], [[1, 6]], [[2], [7, 11]], [[3, 8]], [[4, 9, 12]]],
     ],
 )
-@pytest.mark.parametrize("at_head", [False, True])
-def test_regroup_merges_a_region_by_origin_without_touching_a_key(fragments, at_head):
+# where the region sits: after one node (False) or at the chain's head (True),
+# followed by one node; ending the chain; or followed by a second marked region
+@pytest.mark.parametrize(
+    "at_head, followed_by",
+    [(False, "node"), (True, "node"), (False, "nothing"), (False, "region")],
+    ids=["False", "True", "at-end", "back-to-back"],
+)
+def test_regroup_merges_a_region_by_origin_without_touching_a_key(
+    fragments, at_head, followed_by
+):
     # each fragment is a list of runs of origins, every run's first node
     # hopping to its last, as merges fuse them; the fragment's first node
     # hops to the fragment's end, and every fragment after the first is marked
@@ -338,24 +358,35 @@ def test_regroup_merges_a_region_by_origin_without_touching_a_key(fragments, at_
         if i:
             marked.add(fragment[0])
         region += fragment
+    regions = [region]
+    if followed_by == "region":
+        # a twin of the region, origins 100 higher, with the same hops and marks
+        twin = {node: Node(Unordered(), node.origin + 100) for node in region}
+        for node in region:
+            twin[node].hop = twin[node.hop]
+        marked |= {twin[node] for node in marked}
+        regions.append(list(twin.values()))
     before = [] if at_head else [Node(Unordered(), -1)]
-    after = Node(Unordered(), 99)
-    chain = before + region + [after]
+    after = [] if followed_by == "nothing" else [Node(Unordered(), 999)]
+    chain = before + sum(regions, []) + after
     for node, nxt in zip(chain, chain[1:]):
         node.next = nxt
     head = engines._regroup_equal_regions(chain[0], marked)
 
     out = [node for _, node in zip(range(len(chain) + 1), SortList(head).nodes())]
     assert len(out) == len(chain) and set(out) == set(chain)  # each node once
-    assert out[: len(before)] == before and out[-1] is after
-    merged = out[len(before) : -1]
-    assert [node.origin for node in merged] == sorted(node.origin for node in region)
-    first, end = merged[0], merged[-1]
-    assert first.hop is end and end.next is after
-    # every other hop is kept and still lands at or after its node in the region
-    position = {node: i for i, node in enumerate(merged)}
-    assert all(position[node.hop] >= i for i, node in enumerate(merged))
-    assert all(node.hop is node for node in before + [after])
+    assert out[: len(before)] == before and out[len(chain) - len(after) :] == after
+    start = len(before)
+    for region in regions:
+        merged = out[start : start + len(region)]
+        start += len(region)
+        assert [node.origin for node in merged] == sorted(node.origin for node in region)
+        first, end = merged[0], merged[-1]
+        assert first.hop is end and end.next is (out[start] if start < len(out) else None)
+        # every other hop is kept and still lands at or after its node in the region
+        position = {node: i for i, node in enumerate(merged)}
+        assert all(position[node.hop] >= i for i, node in enumerate(merged))
+    assert all(node.hop is node for node in before + after)
 
 
 def _linked(nodes):
