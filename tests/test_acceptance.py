@@ -7,8 +7,11 @@ the stated tolerance of the reference means; the property sweep audits ten
 thousand random instances end to end.
 """
 
+import hashlib
+import json
 import math
 import time
+from pathlib import Path
 
 import pytest
 
@@ -38,6 +41,18 @@ KDISTINCT_HOP_MEAN = 72415  # 1.5% tolerance
 SHUFFLED_EXCLUDED_CELL = 720704
 SHUFFLED_ANCHOR_2_15 = 450094
 SHUFFLED_ANCHOR_2_17 = 2062483
+
+
+# every run_experiment fixture below; the manifest pins each one's counts exactly
+RUN_EXPERIMENT_FIXTURES = (
+    "sawtooth_k1024",
+    "sawtooth_k1024_tail",
+    "shuffled_sweep",
+    "kdistinct_sweep",
+    "plateau_k16",
+    "shuffled_2_16",
+)
+COUNT_MANIFEST = Path(__file__).resolve().parent / "golden" / "acceptance_counts.json"
 
 
 def _report(criterion, ok, detail):
@@ -312,4 +327,37 @@ def test_criterion_8_excluded_shuffled_row(shuffled_2_16):
             f"mean {measured:.0f} inside [{lo:.0f}, {hi:.0f}]; excluded cell "
             f"{SHUFFLED_EXCLUDED_CELL} stays outside, {elapsed:.1f}s"
         ),
+    )
+
+
+def _count_manifest(reports):
+    """Each report's per-trial counts, keyed "fixture n engine": trial count,
+    sum, min, max and the SHA-256 of the counts joined by commas."""
+    return {
+        f"{name} {n} {engine}": {
+            "trials": len(counts),
+            "sum": sum(counts),
+            "min": min(counts),
+            "max": max(counts),
+            "sha256": hashlib.sha256(",".join(map(str, counts)).encode()).hexdigest(),
+        }
+        for name, report in reports.items()
+        for (n, engine), counts in report.samples.items()
+    }
+
+
+def test_every_count_matches_the_manifest(request):
+    # reuses the module fixtures, so it sorts nothing of its own
+    reports = {name: request.getfixturevalue(name)[0] for name in RUN_EXPERIMENT_FIXTURES}
+    got = _count_manifest(reports)
+    want = json.loads(COUNT_MANIFEST.read_text())
+    problems = [
+        f"{cell}: {got.get(cell)} != {want.get(cell)}"
+        for cell in sorted(got.keys() | want.keys())
+        if got.get(cell) != want.get(cell)
+    ]
+    _report(
+        "count manifest",
+        not problems,
+        "; ".join(problems[:3]) if problems else f"all {len(got)} cells match {COUNT_MANIFEST.name}",
     )
