@@ -57,15 +57,33 @@ def _check_seeds(base_seed: int, trials: int) -> None:
         raise ConfigError(f"seeds {base_seed}..{last} leave the range 0..2**64-1")
 
 
+def _check_ints(**values) -> None:
+    """Refuse, before any sort, a value that is not an int or is a bool."""
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ConfigError(f"{name} must be an int, got {value!r}")
+
+
+# the optional fields' defaults, and per dataset the fields it ignores (refused
+# when set) with the values that make them moot: shuffled keys are all distinct,
+# and k = 2**30, the largest n, leaves each row's k at n; sawtooth is seedless
+_DEFAULTS = {"k": 1024, "trials": 100, "base_seed": 1}
+_IGNORED = {
+    DatasetKind.SHUFFLED: {"k": 1 << 30},
+    DatasetKind.SAWTOOTH: {"trials": 1, "base_seed": 1},
+}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """A sweep configuration; construction raises ConfigError for an invalid
     one, or for one with a row whose n * trials exceeds the fixed ``BUDGET``
     (2**25), so no sweep can start on it.  ``dataset`` and each engine may
-    be given by name ("sawtooth", "hop") and are coerced to their enums.
-    Unset (None), ``k``, ``trials`` and ``base_seed`` take 1024, 100 and 1;
-    one the dataset ignores (``k`` on shuffled, ``trials`` and ``base_seed``
-    on sawtooth) is refused when set and takes a moot value when unset."""
+    be given by name ("sawtooth", "hop") and are coerced to their enums;
+    every other field keeps what was given, so ``dataclasses.replace`` works
+    and an unset field stays None.  A set field the dataset ignores (``k`` on
+    shuffled, ``trials`` and ``base_seed`` on sawtooth) is refused, and
+    ``effective()`` derives the values a sweep runs with."""
 
     dataset: DatasetKind | str
     exp_min: int
@@ -86,35 +104,42 @@ class ExperimentConfig:
             raise ConfigError(str(exc)) from None
         object.__setattr__(self, "dataset", dataset)
         object.__setattr__(self, "engines", engines)
+        given = {n: getattr(self, n) for n in _DEFAULTS if getattr(self, n) is not None}
+        _check_ints(exp_min=self.exp_min, exp_max=self.exp_max, **given)
         if not 0 <= self.exp_min <= self.exp_max:
             raise ConfigError(f"need 0 <= exp_min <= exp_max, got {self.exp_min}..{self.exp_max}")
         if self.exp_max > 30:
             raise ConfigError(f"exp_max {self.exp_max} is past any sane in-memory run")
-        ignored = {  # each field a dataset ignores, with the value that makes it moot
-            DatasetKind.SHUFFLED: {"k": 1 << self.exp_max},  # all distinct: every row's k is n
-            DatasetKind.SAWTOOTH: {"trials": 1, "base_seed": 1},  # seedless: each row runs once
-        }.get(dataset, {})
-        for name, default in {"k": 1024, "trials": 100, "base_seed": 1, **ignored}.items():
-            if getattr(self, name) is None:
-                object.__setattr__(self, name, default)
-            elif name in ignored:
+        for name in _IGNORED.get(dataset, {}):
+            if name in given:
                 raise ConfigError(f"{name} has no effect on dataset {dataset.value}")
-        if self.k < 1:
-            raise ConfigError(f"k must be >= 1, got {self.k}")
-        if self.trials < 1:
-            raise ConfigError(f"trials must be >= 1, got {self.trials}")
-        _check_seeds(self.base_seed, self.trials)
+        k, trials, base_seed = self.effective()
+        if k < 1:
+            raise ConfigError(f"k must be >= 1, got {k}")
+        if trials < 1:
+            raise ConfigError(f"trials must be >= 1, got {trials}")
+        _check_seeds(base_seed, trials)
         if not self.engines:
             raise ConfigError("at least one engine is required")
         if len(set(self.engines)) != len(self.engines):
             names = ", ".join(e.value for e in self.engines)
             raise ConfigError(f"each engine may be given once, got {names}")
         for exp in range(self.exp_min, self.exp_max + 1):
-            cost = (1 << exp) * self.trials
+            cost = (1 << exp) * trials
             if cost > BUDGET:
                 raise ConfigError(
                     f"refusing row n=2^{exp}: n*trials = {cost} exceeds the budget of {BUDGET}"
                 )
+
+    def effective(self) -> tuple[int, int, int]:
+        """The ``(k, trials, base_seed)`` every row runs with (a row of n keys
+        has ``min(k, n)`` distinct keys): each unset field takes its default
+        (1024, 100, 1), and each field the dataset ignores its moot value."""
+        moot = _IGNORED.get(self.dataset, {})
+        return tuple(
+            moot.get(n, default if getattr(self, n) is None else getattr(self, n))
+            for n, default in _DEFAULTS.items()
+        )
 
 
 @dataclass(frozen=True)
@@ -143,19 +168,20 @@ class ExperimentReport:
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
+    k, trials, base_seed = config.effective()
     rows: list[ReportRow] = []
     samples: dict[tuple[int, str], list[int]] = {}
     with _gc_paused():
         for exp in range(config.exp_min, config.exp_max + 1):
             n = 1 << exp
             counts: dict[MergeEngine, list[int]] = {eng: [] for eng in config.engines}
-            for trial in range(config.trials):
-                keys = generate(config.dataset, n, config.k, config.base_seed + trial)
+            for trial in range(trials):
+                keys = generate(config.dataset, n, k, base_seed + trial)
                 for eng in config.engines:
                     lst, stats = mergesort(from_keys(keys), eng)
                     counts[eng].append(stats.comparisons)
                     dispose(lst)
-            k_eff = min(config.k, n)
+            k_eff = min(k, n)
             for eng in config.engines:
                 vals = counts[eng]
                 mean = sum(vals) / len(vals)
@@ -245,9 +271,9 @@ def run_verify(trials: int, max_n: int, max_key: int, base_seed: int) -> VerifyS
     engines, and checks: output equals the reference stable sort, origins
     stay increasing inside equal-key runs, every hop survives the full
     audit, the distinct count matches brute force, and the hop engine never
-    inspects more pairs than the baseline.  A sweep whose trials * max_n
-    exceeds the fixed ``BUDGET`` (2**25) raises ConfigError before the
-    first trial.
+    inspects more pairs than the baseline.  A sweep with an argument that
+    is not an int, or whose trials * max_n exceeds the fixed ``BUDGET``
+    (2**25), raises ConfigError before the first trial.
 
     Each output is audited in one walk (``listcore._sorted_output_ok``);
     only an output that fails it goes through the named checks
@@ -256,6 +282,7 @@ def run_verify(trials: int, max_n: int, max_key: int, base_seed: int) -> VerifyS
     cycle alone, and a hop fault or a drop in the keys skips the
     distinct-key count, so every trial ends and reports instead of raising.
     """
+    _check_ints(trials=trials, max_n=max_n, max_key=max_key, base_seed=base_seed)
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
     _check_seeds(base_seed, trials)

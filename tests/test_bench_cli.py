@@ -4,6 +4,7 @@ import gc
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -65,7 +66,7 @@ def test_config_coerces_dataset_and_engine_names(monkeypatch):
     assert config.dataset is DatasetKind.SAWTOOTH
     assert config.engines == (MergeEngine.HOP,)
     # sawtooth by name is still seedless: one trial, not the default 100
-    assert config.trials == 1
+    assert config.effective() == (1024, 1, 1)
     report = run_experiment(config)
     assert [(r.n, r.dataset, r.engine) for r in report.rows] == [(8, "sawtooth", "hop")]
     assert len(report.samples[(8, "hop")]) == 1
@@ -86,13 +87,17 @@ def test_config_refuses_the_fields_a_dataset_ignores(monkeypatch, by_name):
         dataset = kind.value if by_name else kind
         return ExperimentConfig(dataset=dataset, exp_min=4, exp_max=6, **kw)
 
-    # unset, a field takes its default, or the value that makes it moot
+    # unset, a field stays None; a sweep runs with its default, or the value that makes it moot
     sawtooth = config(DatasetKind.SAWTOOTH)
-    assert (sawtooth.k, sawtooth.trials) == (1024, 1)
-    kdistinct = config(DatasetKind.KDISTINCT)
-    assert (kdistinct.k, kdistinct.trials, kdistinct.base_seed) == (1024, 100, 1)
-    shuffled = config(DatasetKind.SHUFFLED, trials=2, engines=BASELINE_ONLY)
+    assert (sawtooth.k, sawtooth.trials, sawtooth.base_seed) == (None, None, None)
+    assert sawtooth.effective() == (1024, 1, 1)
+    kdistinct = config(DatasetKind.KDISTINCT, trials=2, engines=BASELINE_ONLY)
+    assert kdistinct.effective() == (1024, 2, 1)
+    # a field keeps what was set, so replace passes on no default and no moot value
+    shuffled = replace(kdistinct, dataset="shuffled")
     assert [(r.n, r.k) for r in run_experiment(shuffled).rows] == [(16, 16), (32, 32), (64, 64)]
+    for kept in (sawtooth, kdistinct, shuffled):
+        assert replace(replace(kept, exp_max=7), exp_max=6) == kept
     # set, it is refused before any sort, even at its default or its moot value
     monkeypatch.setattr(bench, "mergesort", _no_sort)
     ignored = [
@@ -154,6 +159,11 @@ def test_budget_refusal_comes_before_any_sort(monkeypatch):
         dict(engines=()),
         dict(exp_min=26, exp_max=26),
         dict(exp_min=31, exp_max=31),
+        dict(exp_min=4.0, exp_max=5),  # a number that is not an int is refused before any sort
+        dict(exp_min=True, exp_max=3),
+        dict(k=2.5),
+        dict(dataset=DatasetKind.KDISTINCT, trials=2.0),
+        dict(dataset=DatasetKind.KDISTINCT, base_seed="1"),
     ],
 )
 def test_run_experiment_rejects_bad_config(kw):
@@ -222,6 +232,9 @@ def test_run_verify_rejects_bad_arguments():
         run_verify(trials=1, max_n=-1, max_key=2, base_seed=1)
     with pytest.raises(ConfigError):
         run_verify(trials=1, max_n=8, max_key=0, base_seed=1)
+    for name, value in (("trials", 2.0), ("max_n", 4.5), ("max_key", 2.5), ("base_seed", True)):
+        with pytest.raises(ConfigError, match=f"^{name} must be an int, got {value!r}$"):
+            run_verify(**{**dict(trials=1, max_n=8, max_key=2, base_seed=1), name: value})
 
 
 def _no_sort(*args, **kwargs):
@@ -500,25 +513,72 @@ def test_cli_bench_prints_identical_tables_for_identical_config(capsys):
     assert capsys.readouterr().out == first
 
 
-@pytest.mark.parametrize(
-    "argv, flag",
-    [
-        (["--dataset", "shuffled", "--k", "5", "--trials", "1"], "--k"),
-        (["--dataset", "sawtooth", "--trials", "50"], "--trials"),
-        (["--dataset", "sawtooth", "--seed", "9"], "--seed"),
-        (["--dataset", "sawtooth", "--trials", "100", "--seed", "1"], "--trials"),
-    ],
-)
-def test_cli_bench_refuses_what_the_sweep_would_ignore(monkeypatch, capsys, argv, flag):
-    # refused before any sort, even at the default values
+# every CLI refusal as (test node name, exit code, stable part of stderr, argv)
+REFUSALS = [
+    line.split("\t")
+    for line in (Path(__file__).resolve().parent / "cli_refusals.tsv").read_text().splitlines()
+    if not line.startswith("#")
+]
+
+
+def _ids(test):
+    """The pytest ids the refusal table gives the parametrized ``test``."""
+    return [name[len(test) + 1 : -1] for name, *_ in REFUSALS if name.startswith(test + "[")]
+
+
+@pytest.fixture
+def refused(request, monkeypatch, capsys):
+    """Runs the refusal table's rows for the requesting test through cli.main:
+    each exits with its code before any sort, its message on stderr, no stdout."""
     monkeypatch.setattr(bench, "mergesort", _no_sort)
-    rc = cli.main(["bench", *argv, "--exp-min", "4", "--exp-max", "4"])
-    assert rc == 2
-    captured = capsys.readouterr()
-    # the refusal is ExperimentConfig's, so it names the field behind the flag
-    field = {"--k": "k", "--trials": "trials", "--seed": "base_seed"}[flag]
-    assert captured.err.startswith(f"error: {field} has no effect on dataset ")
-    assert captured.out == ""
+
+    def check():
+        rows = [row[1:] for row in REFUSALS if row[0] == request.node.name]
+        assert rows, f"the refusal table has no row for {request.node.name}"
+        for code, message, argv in rows:
+            try:
+                rc = cli.main(argv.split())
+            except SystemExit as exc:  # argparse's refusals exit from parse_args
+                rc = exc.code
+            captured = capsys.readouterr()
+            assert (rc, captured.out) == (int(code), "")
+            assert message in captured.err
+
+    return check
+
+
+def test_every_refusal_row_names_a_test_here():
+    assert {row[0].partition("[")[0] for row in REFUSALS} <= set(globals())
+
+
+@pytest.mark.parametrize("case", _ids("test_cli_bench_refuses_what_the_sweep_would_ignore"))
+def test_cli_bench_refuses_what_the_sweep_would_ignore(refused, case):
+    refused()
+
+
+@pytest.mark.parametrize("case", _ids("test_cli_refuses_an_aliasing_seed_with_exit_2"))
+def test_cli_refuses_an_aliasing_seed_with_exit_2(refused, case):
+    refused()
+
+
+def test_cli_invalid_range_exits_2(refused):
+    refused()
+
+
+def test_cli_bench_rejects_exponent_past_the_limit(refused):
+    refused()
+
+
+def test_cli_budget_refusal_exits_2(refused):
+    refused()
+
+
+def test_cli_verify_budget_refusal_exits_2(refused):
+    refused()
+
+
+def test_cli_unknown_dataset_is_an_argparse_error(refused):
+    refused()
 
 
 def test_cli_bench_unset_flags_take_the_config_defaults(monkeypatch):
@@ -544,47 +604,10 @@ def test_cli_bench_prints_only_the_table_on_the_2048_sawtooth_cell(capsys):
     assert captured.err == ""
 
 
-def test_cli_invalid_range_exits_2(capsys):
-    rc = cli.main(["bench", "--dataset", "sawtooth", "--exp-min", "9", "--exp-max", "7"])
-    assert rc == 2
-    assert "error:" in capsys.readouterr().err
-
-
-def test_cli_budget_refusal_exits_2(capsys):
-    rc = cli.main(
-        ["bench", "--dataset", "shuffled", "--exp-min", "13", "--exp-max", "13",
-         "--trials", "100000"]
-    )
-    assert rc == 2
-    assert "budget" in capsys.readouterr().err
-
-
-def test_cli_unknown_dataset_is_an_argparse_error():
-    # an unknown choice or option is argparse's to refuse; bench writes only to stdout
-    for argv in (
-        ["--dataset", "zigzag"],
-        ["--dataset", "sawtooth", "--out", "x.tsv"],
-        ["--dataset", "sawtooth", "--budget", "1000"],
-    ):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["bench", *argv])
-        assert exc.value.code == 2
-
-
 def test_cli_verify_passes(capsys):
     rc = cli.main(["verify", "--trials", "50", "--max-n", "32", "--max-key", "4"])
     assert rc == 0
     assert "50/50 trials passed" in capsys.readouterr().out
-
-
-def test_cli_verify_budget_refusal_exits_2(monkeypatch, capsys):
-    monkeypatch.setattr(bench, "mergesort", _no_sort)
-    assert cli.main(["verify", "--trials", str(1 << 20), "--max-n", "256"]) == 2
-    assert "budget of 33554432" in capsys.readouterr().err
-    # the limit is fixed: --budget is an unknown option
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["verify", "--trials", "10", "--max-n", "32", "--budget", "319"])
-    assert exc.value.code == 2
 
 
 def test_cli_verify_failure_exit_code(monkeypatch, capsys):
@@ -595,15 +618,6 @@ def test_cli_verify_failure_exit_code(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "2/3 trials passed" in out
     assert "first failure: trial 1" in out
-
-
-def test_cli_bench_rejects_exponent_past_the_limit(monkeypatch, capsys):
-    monkeypatch.setattr(bench, "mergesort", _no_sort)
-    rc = cli.main(["bench", "--dataset", "sawtooth", "--exp-min", "1030", "--exp-max", "1030"])
-    assert rc == 2
-    captured = capsys.readouterr()
-    assert captured.err.startswith("error: exp_max 1030")
-    assert captured.out == ""
 
 
 def _run_cli_module(*args):
@@ -664,7 +678,6 @@ def test_cli_bench_tables_match_the_golden_bytes(golden, args, capsys):
 
 
 SEED_TOP = 2**64 - 1  # the last seed Rng64 accepts
-ONE_ROW = ("--exp-min", "4", "--exp-max", "4")
 
 
 @pytest.mark.parametrize(
@@ -713,20 +726,3 @@ def test_run_verify_accepts_seeds_at_both_edges():
     assert run_verify(trials=1, max_n=8, max_key=2, base_seed=0).ok
     assert run_verify(trials=1, max_n=8, max_key=2, base_seed=SEED_TOP).ok
     assert run_verify(trials=9, max_n=8, max_key=2, base_seed=SEED_TOP - 8).ok
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["verify", "--seed", "-1", "--trials", "1"],
-        ["verify", "--seed", str(SEED_TOP), "--trials", "2"],
-        ["bench", "--dataset", "shuffled", *ONE_ROW, "--trials", "1", "--seed", "-1"],
-        ["bench", "--dataset", "kdistinct", *ONE_ROW, "--trials", "2", "--seed", str(SEED_TOP)],
-    ],
-)
-def test_cli_refuses_an_aliasing_seed_with_exit_2(monkeypatch, capsys, argv):
-    monkeypatch.setattr(bench, "mergesort", _no_sort)
-    assert cli.main(argv) == 2
-    captured = capsys.readouterr()
-    assert captured.err.startswith("error: seeds ")
-    assert captured.out == ""
