@@ -359,5 +359,7 @@ def test_every_count_matches_the_manifest(request):
     _report(
         "count manifest",
         not problems,
-        "; ".join(problems[:3]) if problems else f"all {len(got)} cells match {COUNT_MANIFEST.name}",
+        "; ".join(problems[:3])
+        if problems
+        else f"all {len(got)} cells match {COUNT_MANIFEST.name}",
     )
