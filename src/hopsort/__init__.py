@@ -21,15 +21,12 @@ from .engines import (
     sort_with_stats,
 )
 from .listcore import (
-    HopError,
-    NotSortedError,
     SortList,
     Verdict,
     check_hop_valid,
     check_sorted_stable,
     distinct_key_count,
     from_keys,
-    hop_walk,
     to_keys,
 )
 
@@ -37,9 +34,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ComparisonCounter",
-    "HopError",
     "MergeEngine",
-    "NotSortedError",
     "Rng64",
     "SortList",
     "SortStats",
@@ -48,7 +43,6 @@ __all__ = [
     "check_sorted_stable",
     "distinct_key_count",
     "from_keys",
-    "hop_walk",
     "merge_baseline",
     "merge_hop",
     "mergesort",

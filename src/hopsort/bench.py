@@ -2,9 +2,9 @@
 
 Row protocol: n walks powers of two from 2**exp_min to 2**exp_max; shuffled
 and kdistinct rows average over ``trials`` seeded runs (seeds base_seed ..
-base_seed+trials-1), sawtooth is seedless and runs once per row.  Both
-engines see the same generated sequence each trial, so per-trial counts are
-directly comparable.
+base_seed+trials-1), sawtooth is seedless and runs once per row.  Every
+row runs both engines, baseline then hop, on the same generated sequence
+each trial, so per-trial counts are directly comparable.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import gc
 from dataclasses import dataclass, field, fields
 
 from .costmodel import predicted_cost
-from .datasets import _MASK64, DatasetKind, Rng64, generate
+from .datasets import _MASK64, DatasetKind, Rng64, _check_ints, generate
 from .engines import MergeEngine, mergesort
 from .listcore import (
     SortList,
@@ -57,13 +57,6 @@ def _check_seeds(base_seed: int, trials: int) -> None:
         raise ConfigError(f"seeds {base_seed}..{last} leave the range 0..2**64-1")
 
 
-def _check_ints(**values) -> None:
-    """Refuse, before any sort, a value that is not an int or is a bool."""
-    for name, value in values.items():
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"{name} must be an int, got {value!r}")
-
-
 # the optional fields' defaults, and per dataset the fields it ignores (refused
 # when set) with the values that make them moot: shuffled keys are all distinct,
 # and k = 2**30, the largest n, leaves each row's k at n; sawtooth is seedless
@@ -78,12 +71,12 @@ _IGNORED = {
 class ExperimentConfig:
     """A sweep configuration; construction raises ConfigError for an invalid
     one, or for one with a row whose n * trials exceeds the fixed ``BUDGET``
-    (2**25), so no sweep can start on it.  ``dataset`` and each engine may
-    be given by name ("sawtooth", "hop") and are coerced to their enums;
-    every other field keeps what was given, so ``dataclasses.replace`` works
-    and an unset field stays None.  A set field the dataset ignores (``k`` on
-    shuffled, ``trials`` and ``base_seed`` on sawtooth) is refused, and
-    ``effective()`` derives the values a sweep runs with."""
+    (2**25), so no sweep can start on it.  ``dataset`` may be given by name
+    ("sawtooth") and is coerced to its enum; every other field keeps what
+    was given, so ``dataclasses.replace`` works and an unset field stays
+    None.  A set field the dataset ignores (``k`` on shuffled, ``trials``
+    and ``base_seed`` on sawtooth) is refused, and ``effective()`` derives
+    the values a sweep runs with."""
 
     dataset: DatasetKind | str
     exp_min: int
@@ -91,21 +84,15 @@ class ExperimentConfig:
     k: int | None = None
     trials: int | None = None
     base_seed: int | None = None
-    engines: tuple[MergeEngine | str, ...] = (MergeEngine.BASELINE, MergeEngine.HOP)
 
     def __post_init__(self) -> None:
-        if isinstance(self.engines, str):
-            # a bare name would be iterated letter by letter
-            raise ConfigError(f"engines expects a tuple of engine names, got {self.engines!r}")
         try:
             dataset = DatasetKind(self.dataset)
-            engines = tuple(MergeEngine(e) for e in self.engines)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         object.__setattr__(self, "dataset", dataset)
-        object.__setattr__(self, "engines", engines)
         given = {n: getattr(self, n) for n in _DEFAULTS if getattr(self, n) is not None}
-        _check_ints(exp_min=self.exp_min, exp_max=self.exp_max, **given)
+        _check_ints(ConfigError, exp_min=self.exp_min, exp_max=self.exp_max, **given)
         if not 0 <= self.exp_min <= self.exp_max:
             raise ConfigError(f"need 0 <= exp_min <= exp_max, got {self.exp_min}..{self.exp_max}")
         if self.exp_max > 30:
@@ -119,11 +106,6 @@ class ExperimentConfig:
         if trials < 1:
             raise ConfigError(f"trials must be >= 1, got {trials}")
         _check_seeds(base_seed, trials)
-        if not self.engines:
-            raise ConfigError("at least one engine is required")
-        if len(set(self.engines)) != len(self.engines):
-            names = ", ".join(e.value for e in self.engines)
-            raise ConfigError(f"each engine may be given once, got {names}")
         for exp in range(self.exp_min, self.exp_max + 1):
             cost = (1 << exp) * trials
             if cost > BUDGET:
@@ -174,15 +156,15 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     with _gc_paused():
         for exp in range(config.exp_min, config.exp_max + 1):
             n = 1 << exp
-            counts: dict[MergeEngine, list[int]] = {eng: [] for eng in config.engines}
+            counts: dict[MergeEngine, list[int]] = {eng: [] for eng in MergeEngine}
             for trial in range(trials):
                 keys = generate(config.dataset, n, k, base_seed + trial)
-                for eng in config.engines:
+                for eng in MergeEngine:
                     lst, stats = mergesort(from_keys(keys), eng)
                     counts[eng].append(stats.comparisons)
                     dispose(lst)
             k_eff = min(k, n)
-            for eng in config.engines:
+            for eng in MergeEngine:
                 vals = counts[eng]
                 mean = sum(vals) / len(vals)
                 rows.append(
@@ -282,7 +264,7 @@ def run_verify(trials: int, max_n: int, max_key: int, base_seed: int) -> VerifyS
     cycle alone, and a hop fault or a drop in the keys skips the
     distinct-key count, so every trial ends and reports instead of raising.
     """
-    _check_ints(trials=trials, max_n=max_n, max_key=max_key, base_seed=base_seed)
+    _check_ints(ConfigError, trials=trials, max_n=max_n, max_key=max_key, base_seed=base_seed)
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
     _check_seeds(base_seed, trials)

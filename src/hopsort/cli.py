@@ -20,14 +20,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    bench = sub.add_parser("bench", help="run a dataset sweep and emit the table")
+    bench = sub.add_parser("bench", help="run a dataset sweep of both engines and emit the table")
     bench.add_argument("--dataset", required=True, choices=[k.value for k in DatasetKind])
     bench.add_argument("--k", type=int, help="distinct-key bound (default 1024)")
     bench.add_argument("--exp-min", type=int, default=7, help="smallest n as a power of two")
     bench.add_argument("--exp-max", type=int, default=16, help="largest n as a power of two")
     bench.add_argument("--trials", type=int, help="seeded trials per row (default 100)")
     bench.add_argument("--seed", type=int, help="base seed; trial t uses seed+t (default 1)")
-    bench.add_argument("--engine", choices=["baseline", "both", "hop"], default="both")
 
     verify = sub.add_parser("verify", help="randomized audit of both engines")
     verify.add_argument("--trials", type=int, default=1000)
@@ -46,7 +45,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         k=args.k,
         trials=args.trials,
         base_seed=args.seed,
-        engines=("baseline", "hop") if args.engine == "both" else (args.engine,),
     )
     sys.stdout.write(render_table(run_experiment(config).rows))
     return 0

@@ -36,13 +36,22 @@ _LANE_LOW = _lanes([_MASK64] * _LANES)  # the low 64 bits of every lane
 _LANE_STEPS = _lanes([(i + 1) * _GAMMA & _MASK64 for i in range(_LANES)])
 
 
+def _check_ints(error: type[Exception], **values) -> None:
+    """Raise ``error`` naming the first value that is not an int or is a bool."""
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise error(f"{name} must be an int, got {value!r}")
+
+
 class Rng64:
     """splitmix64 stream: 64-bit state, 64-bit outputs, equal seeds -> equal
-    streams; a seed outside 0..2**64-1 raises ValueError rather than alias."""
+    streams; a seed outside 0..2**64-1 raises ValueError rather than alias,
+    and one that is not an int (or is a bool) raises TypeError."""
 
     __slots__ = ("state",)
 
     def __init__(self, seed: int):
+        _check_ints(TypeError, seed=seed)
         if not 0 <= seed <= _MASK64:
             raise ValueError(f"seed must lie in 0..2**64-1, got {seed}")
         self.state = seed
@@ -118,6 +127,7 @@ def _fisher_yates(values: list[int], rng: Rng64) -> list[int]:
 
 def gen_sawtooth(n: int, k: int) -> list[int]:
     """``i mod k`` ramps: deterministic, seedless, exactly min(n, k) distinct keys."""
+    _check_ints(TypeError, n=n, k=k)
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     if k < 1:
@@ -127,6 +137,7 @@ def gen_sawtooth(n: int, k: int) -> list[int]:
 
 def gen_shuffled(n: int, seed: int) -> list[int]:
     """Uniform permutation of 0..n-1 (all keys distinct)."""
+    _check_ints(TypeError, n=n)
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     return _fisher_yates(list(range(n)), Rng64(seed))

@@ -4,22 +4,14 @@ A *segment* is a maximal run of adjacent equal-key nodes.  Every node
 carries a ``hop`` link that starts out pointing at the node itself; the
 merge engines extend the hop of a run's first node so the whole run can be
 stepped over in one jump.  A maximal segment may stay covered by several
-hop *fragments* (merges are allowed to leave the cover fragmented);
-``hop_walk`` visits one node per fragment.
+hop *fragments* (merges are allowed to leave the cover fragmented); the hop
+walk of ``distinct_key_count`` visits one node per fragment.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
-
-
-class HopError(ValueError):
-    """A hop link broke its contract during traversal."""
-
-
-class NotSortedError(ValueError):
-    """An operation that requires nondecreasing keys found a drop."""
 
 
 class Node:
@@ -144,51 +136,20 @@ def dispose(lst: SortList) -> None:
     lst.length = 0
 
 
-def hop_walk(lst: SortList) -> list[Node]:
-    """Visit the head, then ``hop.next``, ``hop.next``, ... until nil.
-
-    On a well-formed list this touches one node per hop fragment.  Raises
-    HopError if a visited node's hop target carries a different key, or if
-    the walk comes back to an already-visited node (the footprint of a
-    backward hop or of a cycle in the ``next`` chain).
-    """
-    walk: list[Node] = []
-    seen: set[Node] = set()
-    node = lst.head
-    while node is not None:
-        if node in seen:
-            raise HopError(
-                f"walk revisited a node at step {len(walk)}; "
-                "a hop points backward or the chain cycles"
-            )
-        seen.add(node)
-        walk.append(node)
-        target = node.hop
-        if target.key != node.key:
-            raise HopError(
-                f"hop at walk step {len(walk) - 1} jumps from key {node.key} "
-                f"to key {target.key}"
-            )
-        node = target.next
-    return walk
-
-
 def distinct_key_count(lst: SortList) -> int:
     """Number of distinct keys in a sorted list, read off the hop walk.
 
     The walk touches at least one node per maximal segment and never mixes
     keys inside a fragment, so counting key changes along it is exact on a
-    sorted list.  Each key change is also tested for a drop, and an
-    unsorted list raises NotSortedError.  If the hops pass
-    ``check_hop_valid``, every adjacent pair of nodes sits inside one
-    fragment (equal keys) or is one walk step, so the walk meets every drop;
-    a drop under a hop that crosses a key change is a hop fault, which only
-    ``check_hop_valid`` sees.
+    sorted list.  If the hops pass ``check_hop_valid``, every adjacent pair
+    of nodes sits inside one fragment (equal keys) or is one walk step, so
+    the walk meets every drop; a drop under a hop that crosses a key change
+    is a hop fault, which only ``check_hop_valid`` sees.
 
-    One walk of at most ``lst.length`` steps that builds nothing.  A drop,
-    an overrun (a backward hop, a cycle or an understated length) or a hop
-    onto another key falls back to counting along the materialised
-    ``hop_walk``, so a broken hop raises its HopError ahead of any drop.
+    One walk of at most ``lst.length`` steps that builds nothing.  It raises
+    ValueError naming the fault at the first drop, at a hop onto another
+    key, or when it would pass ``lst.length`` steps: a backward hop, a
+    cycle, or a stored length below the node count.
     """
     node = lst.head
     if node is None:
@@ -199,27 +160,20 @@ def distinct_key_count(lst: SortList) -> int:
     prev_key = node.key
     while node is not None:
         if steps >= limit:
-            break
+            raise ValueError(
+                f"hop walk passes length {limit}: a backward hop, a cycle or a stale length"
+            )
         key = node.key
         target = node.hop
         if target.key != key:
-            break
+            raise ValueError(f"hop at walk step {steps} jumps from key {key} to key {target.key}")
         if key != prev_key:
             if key < prev_key:
-                break
+                raise ValueError(f"keys decrease at hop-walk step {steps}")
             count += 1
             prev_key = key
         steps += 1
         node = target.next
-    else:
-        return count
-    keys = [node.key for node in hop_walk(lst)]
-    count = 1
-    for step in range(1, len(keys)):
-        if keys[step] != keys[step - 1]:
-            if keys[step] < keys[step - 1]:
-                raise NotSortedError(f"keys decrease at hop-walk step {step}")
-            count += 1
     return count
 
 

@@ -262,3 +262,19 @@ def sorted_stable_audit(head, original: list[int]) -> Audit:
     if any(balance.values()):
         return False, "multiset", None
     return True, None, None
+
+
+def fragment_heads(head) -> list:
+    """The nodes a hop walk visits: ``head``, then each visited node's
+    ``hop.next``, until nil.  A node already visited (the footprint of a
+    backward hop or of a ``next`` cycle) or a nil hop ends the walk too, so
+    it ends on any chain; the walk ended at nil exactly when its last node's
+    hop is set and leads to nil."""
+    walk = []
+    seen = set()
+    node = head
+    while node is not None and node not in seen:
+        seen.add(node)
+        walk.append(node)
+        node = None if node.hop is None else node.hop.next
+    return walk

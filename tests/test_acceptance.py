@@ -15,11 +15,8 @@ from pathlib import Path
 
 import pytest
 
-from hopsort import MergeEngine
 from hopsort.bench import ExperimentConfig, run_experiment, run_verify
 from hopsort.datasets import DatasetKind
-
-BOTH = (MergeEngine.BASELINE, MergeEngine.HOP)
 
 # reference comparison totals for the k=1024 sawtooth table (exact)
 SAWTOOTH_BASELINE = {7: 448, 8: 1024, 9: 2304, 10: 5120, 11: 12287, 12: 28668, 13: 65524}
@@ -69,27 +66,21 @@ def _timed(config):
 @pytest.fixture(scope="module")
 def sawtooth_k1024():
     return _timed(
-        ExperimentConfig(dataset=DatasetKind.SAWTOOTH, exp_min=7, exp_max=13, k=1024, engines=BOTH)
+        ExperimentConfig(dataset=DatasetKind.SAWTOOTH, exp_min=7, exp_max=13, k=1024)
     )
 
 
 @pytest.fixture(scope="module")
 def sawtooth_k1024_tail():
     # deterministic extension rows for the doubling-increment check
-    return _timed(
-        ExperimentConfig(
-            dataset=DatasetKind.SAWTOOTH, exp_min=14, exp_max=16, k=1024,
-            engines=(MergeEngine.BASELINE,),
-        )
-    )
+    return _timed(ExperimentConfig(dataset=DatasetKind.SAWTOOTH, exp_min=14, exp_max=16, k=1024))
 
 
 @pytest.fixture(scope="module")
 def shuffled_sweep():
     return _timed(
         ExperimentConfig(
-            dataset=DatasetKind.SHUFFLED, exp_min=7, exp_max=13, trials=100, base_seed=1,
-            engines=BOTH,
+            dataset=DatasetKind.SHUFFLED, exp_min=7, exp_max=13, trials=100, base_seed=1
         )
     )
 
@@ -98,8 +89,7 @@ def shuffled_sweep():
 def kdistinct_sweep():
     return _timed(
         ExperimentConfig(
-            dataset=DatasetKind.KDISTINCT, exp_min=13, exp_max=13, k=1024, trials=100,
-            base_seed=1, engines=BOTH,
+            dataset=DatasetKind.KDISTINCT, exp_min=13, exp_max=13, k=1024, trials=100, base_seed=1
         )
     )
 
@@ -107,7 +97,7 @@ def kdistinct_sweep():
 @pytest.fixture(scope="module")
 def plateau_k16():
     return _timed(
-        ExperimentConfig(dataset=DatasetKind.SAWTOOTH, exp_min=14, exp_max=20, k=16, engines=BOTH)
+        ExperimentConfig(dataset=DatasetKind.SAWTOOTH, exp_min=14, exp_max=20, k=16)
     )
 
 
@@ -122,8 +112,7 @@ def verify_sweep():
 def shuffled_2_16():
     return _timed(
         ExperimentConfig(
-            dataset=DatasetKind.SHUFFLED, exp_min=16, exp_max=16, trials=5, base_seed=1,
-            engines=(MergeEngine.BASELINE,),
+            dataset=DatasetKind.SHUFFLED, exp_min=16, exp_max=16, trials=5, base_seed=1
         )
     )
 
@@ -235,7 +224,7 @@ def test_criterion_5_plateau_and_doubling(plateau_k16, sawtooth_k1024, sawtooth_
 
     # fragmented regime at k=1024: rows 2^11..2^16, expected +1.0 per doubling
     pe1024 = {r.n: r.per_element_mean for r in report1024.rows if r.engine == "baseline"}
-    pe1024.update({r.n: r.per_element_mean for r in tail1024.rows})
+    pe1024.update({r.n: r.per_element_mean for r in tail1024.rows if r.engine == "baseline"})
     base_deltas = [pe1024[1 << (e + 1)] - pe1024[1 << e] for e in range(11, 16)]
     if any(abs(d - 1.0) > 0.01 for d in base_deltas):
         problems.append(f"k=1024 doubling increments {base_deltas} stray from 1.0 +/- 0.01")
@@ -307,7 +296,7 @@ def test_criterion_7_dominance_audit(
 
 def test_criterion_8_excluded_shuffled_row(shuffled_2_16):
     report, elapsed = shuffled_2_16
-    measured = report.rows[0].comparisons_mean
+    (measured,) = [r.comparisons_mean for r in report.rows if r.engine == "baseline"]
     trend = lambda n: n * math.log2(n)  # noqa: E731
     anchor_lo = SHUFFLED_ANCHOR_2_15 * trend(2**16) / trend(2**15)
     anchor_hi = SHUFFLED_ANCHOR_2_17 * trend(2**16) / trend(2**17)

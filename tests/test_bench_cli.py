@@ -23,20 +23,18 @@ from hopsort.datasets import DatasetKind, Rng64
 from hopsort.engines import SortStats
 from hopsort.listcore import from_keys, to_keys
 
-BASELINE_ONLY = (MergeEngine.BASELINE,)
-
-
 def sawtooth_config(**kw):
-    base = dict(
-        dataset=DatasetKind.SAWTOOTH, exp_min=7, exp_max=10, k=1024, engines=BASELINE_ONLY
-    )
+    base = dict(dataset=DatasetKind.SAWTOOTH, exp_min=7, exp_max=10, k=1024)
     base.update(kw)
     return ExperimentConfig(**base)
 
 
 def test_run_experiment_sawtooth_baseline_totals():
     report = run_experiment(sawtooth_config())
-    assert [r.comparisons_mean for r in report.rows] == [448, 1024, 2304, 5120]
+    # every row of n runs baseline, then hop
+    assert [r.engine for r in report.rows] == ["baseline", "hop"] * 4
+    baseline = [r.comparisons_mean for r in report.rows if r.engine == "baseline"]
+    assert baseline == [448, 1024, 2304, 5120]
     # sawtooth is seedless: one trial per row, so the spread is empty
     assert all(r.comparisons_min == r.comparisons_max == r.comparisons_mean for r in report.rows)
     assert all(len(report.samples[(r.n, r.engine)]) == 1 for r in report.rows)
@@ -53,32 +51,28 @@ def test_run_experiment_row_bookkeeping():
 
 
 def test_run_experiment_shuffled_k_column_is_n():
-    config = ExperimentConfig(
-        dataset=DatasetKind.SHUFFLED, exp_min=7, exp_max=7, trials=2, engines=BASELINE_ONLY
-    )
-    row = run_experiment(config).rows[0]
-    assert row.k == 128
-    assert row.dataset == "shuffled"
+    config = ExperimentConfig(dataset=DatasetKind.SHUFFLED, exp_min=7, exp_max=7, trials=2)
+    for row in run_experiment(config).rows:
+        assert row.k == 128
+        assert row.dataset == "shuffled"
 
 
 def test_config_coerces_dataset_and_engine_names(monkeypatch):
-    config = ExperimentConfig(dataset="sawtooth", exp_min=3, exp_max=3, engines=("hop",))
+    config = ExperimentConfig(dataset="sawtooth", exp_min=3, exp_max=3)
     assert config.dataset is DatasetKind.SAWTOOTH
-    assert config.engines == (MergeEngine.HOP,)
     # sawtooth by name is still seedless: one trial, not the default 100
     assert config.effective() == (1024, 1, 1)
     report = run_experiment(config)
-    assert [(r.n, r.dataset, r.engine) for r in report.rows] == [(8, "sawtooth", "hop")]
-    assert len(report.samples[(8, "hop")]) == 1
+    # every sweep runs both engines, and the table names each by its value
+    assert [(r.n, r.dataset, r.engine) for r in report.rows] == [
+        (8, "sawtooth", engine.value) for engine in MergeEngine
+    ]
+    assert [len(report.samples[(8, engine.value)]) for engine in MergeEngine] == [1, 1]
     # and the budget counts its rows once as well
     monkeypatch.setattr(bench, "BUDGET", 8)
     ExperimentConfig(dataset="sawtooth", exp_min=3, exp_max=3)
     with pytest.raises(ConfigError):
         ExperimentConfig(dataset="zigzag", exp_min=3, exp_max=3)
-    with pytest.raises(ConfigError):
-        ExperimentConfig(dataset="sawtooth", exp_min=3, exp_max=3, engines=("quick",))
-    with pytest.raises(ConfigError, match="tuple of engine names"):
-        ExperimentConfig(dataset="kdistinct", exp_min=3, exp_max=3, engines="hop")
 
 
 @pytest.mark.parametrize("by_name", [False, True], ids=["enum", "name"])
@@ -91,11 +85,13 @@ def test_config_refuses_the_fields_a_dataset_ignores(monkeypatch, by_name):
     sawtooth = config(DatasetKind.SAWTOOTH)
     assert (sawtooth.k, sawtooth.trials, sawtooth.base_seed) == (None, None, None)
     assert sawtooth.effective() == (1024, 1, 1)
-    kdistinct = config(DatasetKind.KDISTINCT, trials=2, engines=BASELINE_ONLY)
+    kdistinct = config(DatasetKind.KDISTINCT, trials=2)
     assert kdistinct.effective() == (1024, 2, 1)
     # a field keeps what was set, so replace passes on no default and no moot value
     shuffled = replace(kdistinct, dataset="shuffled")
-    assert [(r.n, r.k) for r in run_experiment(shuffled).rows] == [(16, 16), (32, 32), (64, 64)]
+    assert [(r.n, r.k) for r in run_experiment(shuffled).rows] == [
+        (n, n) for n in (16, 32, 64) for _ in MergeEngine
+    ]
     for kept in (sawtooth, kdistinct, shuffled):
         assert replace(replace(kept, exp_max=7), exp_max=6) == kept
     # set, it is refused before any sort, even at its default or its moot value
@@ -110,15 +106,6 @@ def test_config_refuses_the_fields_a_dataset_ignores(monkeypatch, by_name):
         for value in values:
             with pytest.raises(ConfigError, match=refusal):
                 run_experiment(config(kind, **{name: value}))
-
-
-def test_config_rejects_a_repeated_engine():
-    # a repeated engine would sort every input twice and double its samples
-    for engines in (("hop", "hop"), ("hop", MergeEngine.HOP)):
-        with pytest.raises(ConfigError, match="once"):
-            ExperimentConfig(
-                dataset="kdistinct", exp_min=4, exp_max=4, k=4, trials=3, engines=engines
-            )
 
 
 def test_run_experiment_engines_see_identical_trials():
@@ -156,7 +143,7 @@ def test_budget_refusal_comes_before_any_sort(monkeypatch):
         dict(exp_min=-1, exp_max=3),
         dict(k=0),
         dict(dataset=DatasetKind.KDISTINCT, trials=0),  # sawtooth refuses any trials
-        dict(engines=()),
+        dict(k=True),
         dict(exp_min=26, exp_max=26),
         dict(exp_min=31, exp_max=31),
         dict(exp_min=4.0, exp_max=5),  # a number that is not an int is refused before any sort
@@ -191,7 +178,8 @@ def test_render_report_tsv_shape():
     assert fields[3] == "baseline"
     assert fields[4] == "448"
     assert fields[7] == "3.50000"  # exactly five decimals
-    assert len(lines) == 2
+    assert lines[2].split("\t")[3] == "hop"
+    assert len(lines) == 3
 
 
 def test_report_is_byte_deterministic():
@@ -396,7 +384,7 @@ def test_run_verify_reports_a_dropped_node(monkeypatch):
 
 
 def test_run_verify_reports_a_hop_across_a_key_change_without_raising(monkeypatch):
-    # the distinct-key count would raise HopError on this output; it is skipped
+    # the distinct-key count would raise ValueError on this output; it is skipped
     failures = _verify_mangled(monkeypatch, _hop_across_a_key_change)
     assert sorted(failures) == [t for t, keys in enumerate(FAULT_KEYS) if len(set(keys)) > 1]
     assert set(failures.values()) == {
@@ -406,7 +394,7 @@ def test_run_verify_reports_a_hop_across_a_key_change_without_raising(monkeypatc
 
 def test_run_verify_reports_an_unsorted_output(monkeypatch):
     # fresh self-hops pass the hop audit, so only the sortedness test keeps
-    # the distinct-key count, which would raise NotSortedError, from running
+    # the distinct-key count, which would raise ValueError, from running
     real = bench.mergesort
 
     def mergesort(lst, engine):
@@ -494,14 +482,13 @@ def test_run_verify_counts_a_dominance_failure(monkeypatch):
 
 
 def test_cli_bench_prints_canonical_table(capsys):
-    rc = cli.main(
-        ["bench", "--dataset", "sawtooth", "--exp-min", "7", "--exp-max", "8",
-         "--engine", "baseline"]
-    )
+    rc = cli.main(["bench", "--dataset", "sawtooth", "--exp-min", "7", "--exp-max", "8"])
     assert rc == 0
     out = capsys.readouterr().out
     assert out.startswith("n\tdataset\tk\tengine\t")
-    assert "\t448\t" in out and "\t1024\t" in out
+    assert "128\tsawtooth\t128\tbaseline\t448\t" in out
+    assert "256\tsawtooth\t256\tbaseline\t1024\t" in out
+    assert [line.split("\t")[3] for line in out.splitlines()[1:]] == ["baseline", "hop"] * 2
 
 
 def test_cli_bench_prints_identical_tables_for_identical_config(capsys):

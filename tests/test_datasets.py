@@ -67,6 +67,21 @@ def test_sawtooth_rejects_bad_arguments():
         gen_sawtooth(-1, 4)
 
 
+def test_generators_refuse_a_value_that_is_not_an_int():
+    # checked once per call: a float would otherwise come back as float keys,
+    # or fail inside the first next(), and True would run as seed 1
+    calls = {
+        "seed": (Rng64, lambda v: gen_shuffled(4, v), lambda v: gen_kdistinct(4, 2, v)),
+        "n": (lambda v: gen_sawtooth(v, 2), lambda v: gen_shuffled(v, 1)),
+        "k": (lambda v: gen_sawtooth(6, v), lambda v: gen_kdistinct(6, v, 1)),
+    }
+    for name, makes in calls.items():
+        for value in (2.5, 2.0, True, "2", None):
+            for make in makes:
+                with pytest.raises(TypeError, match=f"^{name} must be an int, got {value!r}$"):
+                    make(value)
+
+
 def test_shuffled_is_a_permutation():
     for n in (0, 1, 2, 17, 256):
         keys = gen_shuffled(n, seed=7)

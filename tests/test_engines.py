@@ -21,7 +21,6 @@ from hopsort import (
     distinct_key_count,
     engines,
     from_keys,
-    hop_walk,
     merge_baseline,
     merge_hop,
     mergesort,
@@ -96,7 +95,7 @@ def test_merge_hop_absorbs_equal_singleton_in_one_comparison():
     # counter marks b's head, and only it
     assert counter.ties == {b.head}
     merged = type(a)(head, 3)
-    assert len(hop_walk(merged)) == 2
+    assert len(oracles.fragment_heads(merged.head)) == 2
     assert check_hop_valid(merged)
 
 
@@ -221,7 +220,8 @@ def test_hop_output_passes_full_audit():
             assert distinct_key_count(lst) == len(set(keys))
             # hop's final pass leaves every equal-key region as one fragment;
             # baseline leaves every hop on its own node
-            assert len(hop_walk(lst)) == len(set(keys) if engine is HOP else keys)
+            heads = oracles.fragment_heads(lst.head)
+            assert len(heads) == len(set(keys) if engine is HOP else keys)
 
     # one mutation per check, each with its verdict known by construction;
     # neither touches what the other check reads
@@ -414,7 +414,7 @@ def test_hop_sort_keeps_every_node_when_origins_do_not_rise(monkeypatch, origins
         assert len(out) == n and set(out) == set(nodes)
         assert [node.key for node in out] == sorted(keys)
         assert check_hop_valid(lst)
-        assert len(hop_walk(lst)) == len(set(keys))
+        assert len(oracles.fragment_heads(lst.head)) == len(set(keys))
         if origins == "zero":
             # equal origins keep chain order, so the pass may only coalesce:
             # the nodes stay in the order the merges left them

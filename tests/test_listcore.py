@@ -1,18 +1,15 @@
-"""List construction, hop traversal, and the invariant checkers."""
+"""List construction, the distinct-key walk, and the invariant checkers."""
 
 import random
 
 import pytest
 
 from hopsort import (
-    HopError,
-    NotSortedError,
     Verdict,
     check_hop_valid,
     check_sorted_stable,
     distinct_key_count,
     from_keys,
-    hop_walk,
     mergesort,
     to_keys,
 )
@@ -82,36 +79,6 @@ def test_to_keys_round_trip():
     assert to_keys(from_keys(keys)) == keys
 
 
-def test_hop_walk_visits_every_node_when_hops_are_self():
-    lst = from_keys([1, 2, 3, 4])
-    walk = hop_walk(lst)
-    assert walk == nodes_of(lst)
-
-
-def test_hop_walk_steps_over_coalesced_run():
-    lst = from_keys([1, 1, 2])
-    ns = nodes_of(lst)
-    ns[0].hop = ns[1]
-    walk = hop_walk(lst)
-    assert walk == [ns[0], ns[2]]
-
-
-def test_hop_walk_rejects_key_changing_hop():
-    lst = from_keys([1, 2])
-    ns = nodes_of(lst)
-    ns[0].hop = ns[1]
-    with pytest.raises(HopError):
-        hop_walk(lst)
-
-
-def test_hop_walk_rejects_backward_hop():
-    lst = from_keys([5, 5])
-    ns = nodes_of(lst)
-    ns[1].hop = ns[0]  # same key, wrong direction: the walk loops back
-    with pytest.raises(HopError):
-        hop_walk(lst)
-
-
 def test_distinct_key_count_on_sorted_runs():
     assert distinct_key_count(from_keys([1, 1, 2, 3, 3, 3])) == 3
     assert distinct_key_count(from_keys([])) == 0
@@ -120,18 +87,19 @@ def test_distinct_key_count_on_sorted_runs():
 
 
 def test_distinct_key_count_rejects_unsorted():
-    with pytest.raises(NotSortedError, match="step 1"):
+    with pytest.raises(ValueError, match="^keys decrease at hop-walk step 1$"):
         distinct_key_count(from_keys([2, 1]))
-    # a drop past an understated stored length is still found
+    # a drop past an understated stored length is not reached: the walk
+    # stops at the length
     lst = from_keys([1, 2, 0])
     lst.length = 1
-    with pytest.raises(NotSortedError, match="step 2"):
+    with pytest.raises(ValueError, match="^hop walk passes length 1: "):
         distinct_key_count(lst)
     # the head's hop covers the first three nodes, so the drop at position 3
     # is the walk's step 1
     lst = from_keys([1, 1, 1, 0])
     lst.head.hop = nodes_of(lst)[2]
-    with pytest.raises(NotSortedError) as exc:
+    with pytest.raises(ValueError) as exc:
         distinct_key_count(lst)
     assert str(exc.value) == "keys decrease at hop-walk step 1"
 
@@ -228,49 +196,52 @@ def test_check_hop_valid_reports_the_first_bad_hop():
 def test_distinct_key_count_raises_on_a_backward_hop():
     lst = from_keys([5, 5])
     ns = nodes_of(lst)
-    ns[1].hop = ns[0]
-    with pytest.raises(HopError) as exc:
+    ns[1].hop = ns[0]  # same key, wrong direction: the walk loops back
+    with pytest.raises(ValueError) as exc:
         distinct_key_count(lst)
-    assert str(exc.value) == (
-        "walk revisited a node at step 2; a hop points backward or the chain cycles"
-    )
+    assert str(exc.value) == "hop walk passes length 2: a backward hop, a cycle or a stale length"
 
 
 def test_distinct_key_count_raises_on_a_key_crossing_hop():
     lst = from_keys([1, 1, 2])
     ns = nodes_of(lst)
     ns[1].hop = ns[2]
-    with pytest.raises(HopError) as exc:
+    with pytest.raises(ValueError) as exc:
         distinct_key_count(lst)
     assert str(exc.value) == "hop at walk step 1 jumps from key 1 to key 2"
-    # the walk drops from 2 to 1 at step 1, but the hop fault at step 2 wins
+    # the first fault the walk meets is the one named: the drop from 2 to 1
+    # at step 1 comes before the hop fault at step 2
     lst = from_keys([2, 1, 1, 3])
     ns = nodes_of(lst)
     ns[2].hop = ns[3]
-    with pytest.raises(HopError) as exc:
+    with pytest.raises(ValueError) as exc:
         distinct_key_count(lst)
-    assert str(exc.value) == "hop at walk step 2 jumps from key 1 to key 3"
+    assert str(exc.value) == "keys decrease at hop-walk step 1"
 
 
 @pytest.mark.parametrize("length", [2, -1])
 def test_distinct_key_count_ends_on_a_cycle(length):
-    # the keys never decrease around the cycle, so only the bound ends the
-    # count walk, and hop_walk names the revisit
+    # the keys never decrease around the cycle, so only the bound ends the walk
     lst = from_keys([1, 1])
     ns = nodes_of(lst)
     ns[1].next = ns[0]
     lst.length = length
-    with pytest.raises(HopError) as exc:
+    with pytest.raises(ValueError) as exc:
         distinct_key_count(lst)
     assert str(exc.value) == (
-        "walk revisited a node at step 2; a hop points backward or the chain cycles"
+        f"hop walk passes length {length}: a backward hop, a cycle or a stale length"
     )
 
 
 def test_distinct_key_count_survives_an_understated_length():
+    # the walk is not counted through a stored length below the node count:
+    # it raises, as check_hop_valid reports the same list's length fault
     lst = from_keys([1, 1, 2, 3])
     lst.length = 2
-    assert distinct_key_count(lst) == 3
+    assert check_hop_valid(lst) == Verdict(False, "length", 4)
+    with pytest.raises(ValueError) as exc:
+        distinct_key_count(lst)
+    assert str(exc.value) == "hop walk passes length 2: a backward hop, a cycle or a stale length"
 
 
 def test_check_sorted_stable_passes_a_true_stable_order():

@@ -12,13 +12,11 @@ import oracles
 from hopsort import (
     ComparisonCounter,
     MergeEngine,
-    NotSortedError,
     SortList,
     check_hop_valid,
     check_sorted_stable,
     distinct_key_count,
     from_keys,
-    hop_walk,
     merge_baseline,
     merge_hop,
     mergesort,
@@ -36,7 +34,7 @@ wide_lists = st.lists(st.integers(min_value=-50, max_value=50), max_size=120)
 def engine_fragments(lst):
     """(key, length) per hop fragment, read from the live chain."""
     position = {id(node): i for i, node in enumerate(lst.nodes())}
-    walk = hop_walk(lst)
+    walk = oracles.fragment_heads(lst.head)
     out = []
     for here, after in zip(walk, walk[1:] + [None]):
         end = position[id(after)] if after is not None else lst.length
@@ -70,10 +68,10 @@ def test_hop_structure_survives_the_full_audit(keys):
         lst, _ = mergesort(from_keys(keys), engine)
         assert check_hop_valid(lst)
         # the walk touches at least one node per distinct key, at most all
-        assert len(set(keys)) <= len(hop_walk(lst)) <= len(keys)
+        assert len(set(keys)) <= len(oracles.fragment_heads(lst.head)) <= len(keys)
     # the hop driver hands back coalesced regions: one walk visit per key
     lst, _ = mergesort(from_keys(keys), MergeEngine.HOP)
-    assert len(hop_walk(lst)) == len(set(keys))
+    assert len(oracles.fragment_heads(lst.head)) == len(set(keys))
 
 
 @given(key_lists)
@@ -83,7 +81,7 @@ def test_distinct_count_equals_brute_force(keys):
         assert distinct_key_count(lst) == len(set(keys))
     # the unsorted input itself: a count only when the keys never drop
     if keys != sorted(keys):
-        with pytest.raises(NotSortedError):
+        with pytest.raises(ValueError, match="keys decrease"):
             distinct_key_count(from_keys(keys))
     else:
         assert distinct_key_count(from_keys(keys)) == len(set(keys))
@@ -205,6 +203,23 @@ def test_audits_match_the_index_oracles_on_mutated_lists(data):
     verdict = check_sorted_stable(lst, keys)
     expected = oracles.sorted_stable_audit(lst.head, keys)
     assert (verdict.ok, verdict.reason, verdict.position) == expected
+    # the count walks the oracle's hop walk, and raises exactly when that walk
+    # revisits a node, outruns the stored length, hops onto another key or
+    # drops; a nil hop, which only a disposed node carries, is left out
+    walk = oracles.fragment_heads(lst.head)
+    if all(node.hop is not None for node in walk):
+        walked = [node.key for node in walk]
+        faulty = bool(walk) and (
+            walk[-1].hop.next is not None
+            or len(walk) > lst.length
+            or any(node.hop.key != node.key for node in walk)
+            or walked != sorted(walked)
+        )
+        if faulty:
+            with pytest.raises(ValueError):
+                distinct_key_count(lst)
+        else:
+            assert distinct_key_count(lst) == len(set(walked))
 
 
 def hop_count(keys):
