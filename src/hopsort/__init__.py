@@ -25,7 +25,6 @@ from .listcore import (
     Verdict,
     check_hop_valid,
     check_sorted_stable,
-    distinct_key_count,
     from_keys,
     to_keys,
 )
@@ -41,7 +40,6 @@ __all__ = [
     "Verdict",
     "check_hop_valid",
     "check_sorted_stable",
-    "distinct_key_count",
     "from_keys",
     "merge_baseline",
     "merge_hop",

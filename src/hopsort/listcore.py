@@ -5,7 +5,8 @@ carries a ``hop`` link that starts out pointing at the node itself; the
 merge engines extend the hop of a run's first node so the whole run can be
 stepped over in one jump.  A maximal segment may stay covered by several
 hop *fragments* (merges are allowed to leave the cover fragmented); the hop
-walk of ``distinct_key_count`` visits one node per fragment.
+walk visits one node per fragment.  ``distinct_key_count`` counts the keys
+along it; its one caller is the fault report of ``bench.run_verify``.
 """
 
 from __future__ import annotations
@@ -147,9 +148,9 @@ def distinct_key_count(lst: SortList) -> int:
     is a hop fault, which only ``check_hop_valid`` sees.
 
     One walk of at most ``lst.length`` steps that builds nothing.  It raises
-    ValueError naming the fault at the first drop, at a hop onto another
-    key, or when it would pass ``lst.length`` steps: a backward hop, a
-    cycle, or a stored length below the node count.
+    ValueError naming the fault at the first drop, at a nil hop or one onto
+    another key, or when it would pass ``lst.length`` steps: a backward
+    hop, a cycle, or a stored length below the node count.
     """
     node = lst.head
     if node is None:
@@ -165,6 +166,8 @@ def distinct_key_count(lst: SortList) -> int:
             )
         key = node.key
         target = node.hop
+        if target is None:
+            raise ValueError(f"hop at walk step {steps} is nil")
         if target.key != key:
             raise ValueError(f"hop at walk step {steps} jumps from key {key} to key {target.key}")
         if key != prev_key:

@@ -384,7 +384,8 @@ def test_run_verify_reports_a_dropped_node(monkeypatch):
 
 
 def test_run_verify_reports_a_hop_across_a_key_change_without_raising(monkeypatch):
-    # the distinct-key count would raise ValueError on this output; it is skipped
+    # the fault report skips the distinct-key count on a hop fault, since the
+    # count would raise ValueError on this output
     failures = _verify_mangled(monkeypatch, _hop_across_a_key_change)
     assert sorted(failures) == [t for t, keys in enumerate(FAULT_KEYS) if len(set(keys)) > 1]
     assert set(failures.values()) == {
@@ -393,8 +394,9 @@ def test_run_verify_reports_a_hop_across_a_key_change_without_raising(monkeypatc
 
 
 def test_run_verify_reports_an_unsorted_output(monkeypatch):
-    # fresh self-hops pass the hop audit, so only the sortedness test keeps
-    # the distinct-key count, which would raise ValueError, from running
+    # fresh self-hops pass the hop audit, so in the fault report only the
+    # sortedness test keeps the distinct-key count, which would raise
+    # ValueError on descending keys, from running
     real = bench.mergesort
 
     def mergesort(lst, engine):
@@ -455,13 +457,39 @@ def test_run_verify_ends_and_reports_a_cyclic_output():
     ]
 
 
-def test_run_verify_reports_a_wrong_distinct_count(monkeypatch):
-    monkeypatch.setattr(bench, "distinct_key_count", lambda lst: -1)
-    summary = run_verify(**FAULT_SWEEP)
-    assert summary.passed == 0
-    assert set(dict(summary.failures).values()) == {
-        "baseline: distinct-key count mismatch; hop: distinct-key count mismatch"
-    }
+def test_run_verify_counts_no_keys_on_a_clean_sweep(monkeypatch):
+    # an output that passes the one-walk audit is disposed uncounted
+    def count(lst):
+        raise AssertionError("a passing output must not reach the distinct-key count")
+
+    monkeypatch.setattr(bench, "distinct_key_count", count)
+    summary = run_verify(200, 64, 4, 1)
+    assert summary.ok
+    assert summary.passed == 200
+
+
+def _merge_the_last_unique_key(lst):
+    # the last node takes its predecessor's key: the keys stay sorted, every
+    # hop stays inside its segment and the length holds, but one key is gone
+    node = lst.head
+    if node is None or node.next is None:
+        return
+    while node.next.next is not None:
+        node = node.next
+    node.next.key = node.key
+
+
+def test_run_verify_reports_a_lost_key_as_a_count_mismatch(monkeypatch):
+    failures = _verify_mangled(monkeypatch, _merge_the_last_unique_key)
+    last_key_unique = [
+        t for t, keys in enumerate(FAULT_KEYS) if len(keys) > 1 and keys.count(max(keys)) == 1
+    ]
+    assert sorted(failures) == last_key_unique
+    for message in failures.values():
+        assert "hop audit" not in message
+        for eng in ("baseline", "hop"):
+            assert f"{eng}: output differs from reference sort" in message
+            assert f"{eng}: distinct-key count mismatch" in message
 
 
 def test_run_verify_counts_a_dominance_failure(monkeypatch):

@@ -18,7 +18,6 @@ from hopsort import (
     Verdict,
     check_hop_valid,
     check_sorted_stable,
-    distinct_key_count,
     engines,
     from_keys,
     merge_baseline,
@@ -28,7 +27,7 @@ from hopsort import (
     to_keys,
 )
 from hopsort.datasets import gen_kdistinct, gen_sawtooth, gen_shuffled
-from hopsort.listcore import Node
+from hopsort.listcore import Node, distinct_key_count
 
 BASELINE = MergeEngine.BASELINE
 HOP = MergeEngine.HOP

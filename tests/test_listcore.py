@@ -8,12 +8,11 @@ from hopsort import (
     Verdict,
     check_hop_valid,
     check_sorted_stable,
-    distinct_key_count,
     from_keys,
     mergesort,
     to_keys,
 )
-from hopsort.listcore import Node, SortList, _sorted_output_ok, dispose
+from hopsort.listcore import Node, SortList, _sorted_output_ok, dispose, distinct_key_count
 
 
 def nodes_of(lst):
@@ -217,6 +216,16 @@ def test_distinct_key_count_raises_on_a_key_crossing_hop():
     with pytest.raises(ValueError) as exc:
         distinct_key_count(lst)
     assert str(exc.value) == "keys decrease at hop-walk step 1"
+
+
+@pytest.mark.parametrize("step", [0, 1])
+def test_distinct_key_count_raises_on_a_nil_hop(step):
+    # a disposed node carries a nil hop; the walk names the step it meets it at
+    lst = from_keys([1, 2, 3])
+    nodes_of(lst)[step].hop = None
+    with pytest.raises(ValueError) as exc:
+        distinct_key_count(lst)
+    assert str(exc.value) == f"hop at walk step {step} is nil"
 
 
 @pytest.mark.parametrize("length", [2, -1])

@@ -15,7 +15,6 @@ from hopsort import (
     SortList,
     check_hop_valid,
     check_sorted_stable,
-    distinct_key_count,
     from_keys,
     merge_baseline,
     merge_hop,
@@ -25,7 +24,7 @@ from hopsort import (
 )
 from hopsort.costmodel import predicted_cost
 from hopsort.datasets import gen_sawtooth
-from hopsort.listcore import Node
+from hopsort.listcore import Node, distinct_key_count
 
 key_lists = st.lists(st.integers(min_value=0, max_value=15), max_size=200)
 wide_lists = st.lists(st.integers(min_value=-50, max_value=50), max_size=120)
@@ -204,22 +203,22 @@ def test_audits_match_the_index_oracles_on_mutated_lists(data):
     expected = oracles.sorted_stable_audit(lst.head, keys)
     assert (verdict.ok, verdict.reason, verdict.position) == expected
     # the count walks the oracle's hop walk, and raises exactly when that walk
-    # revisits a node, outruns the stored length, hops onto another key or
-    # drops; a nil hop, which only a disposed node carries, is left out
+    # revisits a node, outruns the stored length, ends on a nil hop, hops onto
+    # another key or drops; only the walk's last node can carry a nil hop
     walk = oracles.fragment_heads(lst.head)
-    if all(node.hop is not None for node in walk):
-        walked = [node.key for node in walk]
-        faulty = bool(walk) and (
-            walk[-1].hop.next is not None
-            or len(walk) > lst.length
-            or any(node.hop.key != node.key for node in walk)
-            or walked != sorted(walked)
-        )
-        if faulty:
-            with pytest.raises(ValueError):
-                distinct_key_count(lst)
-        else:
-            assert distinct_key_count(lst) == len(set(walked))
+    walked = [node.key for node in walk]
+    faulty = bool(walk) and (
+        walk[-1].hop is None
+        or walk[-1].hop.next is not None
+        or len(walk) > lst.length
+        or any(node.hop.key != node.key for node in walk)
+        or walked != sorted(walked)
+    )
+    if faulty:
+        with pytest.raises(ValueError):
+            distinct_key_count(lst)
+    else:
+        assert distinct_key_count(lst) == len(set(walked))
 
 
 def hop_count(keys):
