@@ -10,13 +10,9 @@ dataset and table machinery behind the CLI lives in ``hopsort.bench``,
 ``hopsort.datasets`` and ``hopsort.costmodel``.
 """
 
-from .datasets import Rng64
 from .engines import (
-    ComparisonCounter,
     MergeEngine,
     SortStats,
-    merge_baseline,
-    merge_hop,
     mergesort,
     sort_with_stats,
 )
@@ -32,17 +28,13 @@ from .listcore import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ComparisonCounter",
     "MergeEngine",
-    "Rng64",
     "SortList",
     "SortStats",
     "Verdict",
     "check_hop_valid",
     "check_sorted_stable",
     "from_keys",
-    "merge_baseline",
-    "merge_hop",
     "mergesort",
     "sort_with_stats",
     "to_keys",

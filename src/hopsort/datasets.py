@@ -106,12 +106,15 @@ class DatasetKind(enum.Enum):
 
 def generate(kind: DatasetKind, n: int, k: int, seed: int) -> list[int]:
     """The one input sequence that ``(kind, n, k, seed)`` pins down; sawtooth
-    ignores ``seed`` and shuffled ``k``, which ``ExperimentConfig`` refuses."""
+    ignores ``seed`` and shuffled ``k``, which ``ExperimentConfig`` refuses.
+    A ``kind`` that is not a ``DatasetKind`` member raises ValueError."""
     if kind is DatasetKind.SHUFFLED:
         return gen_shuffled(n, seed)
     if kind is DatasetKind.SAWTOOTH:
         return gen_sawtooth(n, k)
-    return gen_kdistinct(n, k, seed)
+    if kind is DatasetKind.KDISTINCT:
+        return gen_kdistinct(n, k, seed)
+    raise ValueError(f"kind must be a DatasetKind member, got {kind!r}")
 
 
 def _fisher_yates(values: list[int], rng: Rng64) -> list[int]:

@@ -7,12 +7,13 @@ straight into a waiting 2-node run, the 4-node result straight into a
 waiting 4-node run, and only runs of 8 nodes or more are pushed.  The binary
 pattern of the running count of 8-node runs decides how many merges precede
 a push -- one merge per low 1-bit, so the stack never holds more than one
-run per bit.  At the end the pending 4-node run, 2-node run and trailing
-odd node are pushed in that order and the stack is folded.  The merge
-sequence is the carry schedule of detaching, pushing and carrying one node
-at a time, unchanged: n - 1 calls of the module-level ``merge_baseline`` or
-``merge_hop``.  The older run, waiting or popped, is always the left merge
-operand and ties take the left node.
+run per bit.  At the end the pending runs fold into the trailing odd node,
+newest first: the 2-node run, the 4-node run, then the stack from the top
+down.  The merge sequence is the carry schedule of detaching, pushing and
+carrying one node at a time, unchanged: n - 1 calls of the module-level
+``merge_baseline`` or ``merge_hop``, never with an empty operand.  The older
+run, waiting or stacked, is always the left merge operand and ties take the
+left node.
 
 Comparison counting: one count per key pair inspected while both sides are
 nonempty.  A single <= verdict (baseline) and a full less/equal/greater
@@ -75,9 +76,6 @@ class ComparisonCounter:
         self.invocations = 0
         self.ties: set[Node] = set()
 
-    def __repr__(self) -> str:
-        return f"ComparisonCounter(invocations={self.invocations})"
-
 
 @dataclass(frozen=True, slots=True)
 class SortStats:
@@ -86,17 +84,15 @@ class SortStats:
     comparisons: int
 
 
-def merge_baseline(a: Node | None, b: Node | None, counter: ComparisonCounter) -> Node | None:
-    """Stable merge of two sorted chains, one node per inspection.
+def merge_baseline(a: Node, b: Node, counter: ComparisonCounter) -> Node:
+    """Stable merge of two nonempty sorted chains, one node per inspection.
 
-    Ties take from ``a``.  Hop links are left untouched.  Once either side
-    runs out the rest of the other is appended without further inspections.
-    The merge's inspections are added to ``counter`` when it returns.
+    Neither operand may be None: the driver only passes detached nodes and
+    runs.  Ties take from ``a``.  Hop links are left untouched.  Once either
+    side runs out the rest of the other is appended without further
+    inspections.  The merge's inspections are added to ``counter`` when it
+    returns.
     """
-    if a is None:
-        return b
-    if b is None:
-        return a
     if a.key <= b.key:
         head = p = a
         a = a.next
@@ -129,8 +125,8 @@ def merge_baseline(a: Node | None, b: Node | None, counter: ComparisonCounter) -
     return head
 
 
-def merge_hop(a: Node | None, b: Node | None, counter: ComparisonCounter) -> Node | None:
-    """Merge two sorted chains advancing a whole hop fragment per inspection.
+def merge_hop(a: Node, b: Node, counter: ComparisonCounter) -> Node:
+    """Merge two nonempty sorted chains, a whole hop fragment per inspection.
 
     On an equal pair the a-side fragment is emitted, the b-side fragment is
     spliced directly behind it, and the a-fragment head's hop is extended
@@ -140,12 +136,8 @@ def merge_hop(a: Node | None, b: Node | None, counter: ComparisonCounter) -> Nod
     segment covered by more than one fragment; that fragmentation is legal
     and never repaired here, but a head tie adds ``b`` to ``counter.ties``
     so the driver's final pass knows where the segment may be out of origin
-    order.
+    order.  Neither operand may be None, as for ``merge_baseline``.
     """
-    if a is None:
-        return b
-    if b is None:
-        return a
     ak = a.key
     bk = b.key
     if ak > bk:
@@ -337,13 +329,10 @@ def mergesort(lst: SortList, engine: MergeEngine | str) -> tuple[SortList, SortS
             bits >>= 1
         stack.append(run)
         octets += 1
-    # the pending runs are the stack's newest entries, smallest last
-    for run in (quad, pair, node):
+    # fold the pending runs, newest first, into the trailing odd node (if any)
+    for run in (pair, quad, *reversed(stack)):
         if run is not None:
-            stack.append(run)
-    node = stack.pop()
-    while stack:
-        node = merge(stack.pop(), node, counter)
+            node = run if node is None else merge(run, node, counter)
     if counter.ties:
         node = _regroup_equal_regions(node, counter.ties)
     lst.head = node

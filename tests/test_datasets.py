@@ -112,6 +112,10 @@ def test_generate_dispatch():
     assert generate(DatasetKind.SHUFFLED, 16, 1024, 2) == gen_shuffled(16, 2)
     assert generate(DatasetKind.KDISTINCT, 16, 4, 2) == gen_kdistinct(16, 4, 2)
     assert generate(DatasetKind.KDISTINCT, 16, 4, 3) == gen_kdistinct(16, 4, 3)
+    # a name or None is not a kind: none of them may fall through to kdistinct
+    for kind in ("shuffled", "sawtooth", None):
+        with pytest.raises(ValueError, match="kind must be a DatasetKind member"):
+            generate(kind, 8, 2, 1)
 
 
 LANES = datasets._LANES  # outputs per block of Rng64.take

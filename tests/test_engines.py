@@ -11,7 +11,6 @@ import pytest
 
 import oracles
 from hopsort import (
-    ComparisonCounter,
     MergeEngine,
     SortList,
     SortStats,
@@ -20,13 +19,12 @@ from hopsort import (
     check_sorted_stable,
     engines,
     from_keys,
-    merge_baseline,
-    merge_hop,
     mergesort,
     sort_with_stats,
     to_keys,
 )
 from hopsort.datasets import gen_kdistinct, gen_sawtooth, gen_shuffled
+from hopsort.engines import ComparisonCounter, merge_baseline, merge_hop
 from hopsort.listcore import Node, distinct_key_count
 
 BASELINE = MergeEngine.BASELINE
@@ -39,15 +37,6 @@ def chain_keys(head):
         out.append(head.key)
         head = head.next
     return out
-
-
-def test_merge_baseline_nil_guards_cost_nothing():
-    counter = ComparisonCounter()
-    lst = from_keys([4])
-    assert merge_baseline(None, lst.head, counter) is lst.head
-    assert merge_baseline(lst.head, None, counter) is lst.head
-    assert merge_baseline(None, None, counter) is None
-    assert counter.invocations == 0
 
 
 def test_merge_baseline_interleaved():
@@ -113,15 +102,6 @@ def test_merge_hop_equal_pair_fuses_fragments():
     assert a2.hop is b2
     merged = type(a)(head, 5)
     assert check_hop_valid(merged)
-
-
-def test_merge_hop_nil_guards_cost_nothing():
-    counter = ComparisonCounter()
-    lst = from_keys([4, 9])
-    assert merge_hop(None, lst.head, counter) is lst.head
-    assert merge_hop(lst.head, None, counter) is lst.head
-    assert merge_hop(None, None, counter) is None
-    assert counter.invocations == 0
 
 
 def test_mergesort_empty_and_singleton():
