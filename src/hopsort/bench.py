@@ -224,9 +224,10 @@ def _name_faults(out: SortList, keys: list[int], expected: list[int], name: str)
     one-walk audit.
 
     The hop audit runs first, since it is the one check that ends on a
-    cyclic chain: a cycle is reported alone.  Any other hop fault or a drop
-    in the keys skips the distinct-key count, which would raise on it; on
-    sorted keys with valid hops, the count names a changed set of keys.
+    cyclic chain: a cycle is reported alone.  On sorted keys with valid
+    hops, the distinct-key count names a changed set of keys; any other hop
+    fault or a drop in the keys skips it, so such a report names only what
+    the other checks see.
     """
     hops = check_hop_valid(out)
     if hops.reason == "cycle":
@@ -252,8 +253,8 @@ def run_verify(trials: int, max_n: int, max_key: int, base_seed: int) -> VerifyS
     engines, and checks: output equals the reference stable sort, origins
     stay increasing inside equal-key runs, every hop survives the full
     audit, and the hop engine never inspects more pairs than the baseline.
-    No key count is needed: with sorted keys, and hops that stay forward
-    inside their segment, the hop walk counts each key once.  A sweep with
+    A passing output is not counted: its keys equal the reference sort's,
+    so its distinct keys do too.  A sweep with
     an argument that is not an int, or whose trials * max_n exceeds the
     fixed ``BUDGET`` (2**25), raises ConfigError before the first trial.
 
@@ -261,8 +262,8 @@ def run_verify(trials: int, max_n: int, max_key: int, base_seed: int) -> VerifyS
     and only an output that fails it goes through the named checks
     (``to_keys``, ``check_sorted_stable``, ``check_hop_valid``), whose
     verdicts name the fault.  A cyclic output is reported as a hop-audit
-    cycle alone, and a hop fault or a drop in the keys skips the
-    distinct-key count, so every trial ends and reports instead of raising.
+    cycle alone, so every trial ends and reports instead of raising; the
+    distinct-key count runs only on sorted keys whose hops pass the audit.
     """
     _check_ints(ConfigError, trials=trials, max_n=max_n, max_key=max_key, base_seed=base_seed)
     if trials < 1:

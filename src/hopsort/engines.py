@@ -293,8 +293,6 @@ def mergesort(lst: SortList, engine: MergeEngine | str) -> tuple[SortList, SortS
         engine = MergeEngine(engine)  # skipped for a member: tiny sorts pay it per call
     hop = engine is MergeEngine.HOP
     node = lst.head
-    if node is None:
-        return lst, SortStats(0)
     merge = merge_hop if hop else merge_baseline
     counter = ComparisonCounter()
     stack: list[Node] = []  # runs of 8 nodes or more, one per bit of octets

@@ -4,9 +4,10 @@ A *segment* is a maximal run of adjacent equal-key nodes.  Every node
 carries a ``hop`` link that starts out pointing at the node itself; the
 merge engines extend the hop of a run's first node so the whole run can be
 stepped over in one jump.  A maximal segment may stay covered by several
-hop *fragments* (merges are allowed to leave the cover fragmented); the hop
-walk visits one node per fragment.  ``distinct_key_count`` counts the keys
-along it; its one caller is the fault report of ``bench.run_verify``.
+hop *fragments* (merges are allowed to leave the cover fragmented), so a
+walk along the hops visits one node per fragment.  The checks here read the
+chain node by node: ``check_hop_valid`` audits every hop, and
+``distinct_key_count`` counts keys without reading a hop.
 """
 
 from __future__ import annotations
@@ -138,50 +139,16 @@ def dispose(lst: SortList) -> None:
 
 
 def distinct_key_count(lst: SortList) -> int:
-    """Number of distinct keys in a sorted list, read off the hop walk.
+    """Number of distinct keys in the chain.
 
-    The walk touches at least one node per maximal segment and never mixes
-    keys inside a fragment, so counting key changes along it is exact on a
-    sorted list.  If the hops pass ``check_hop_valid``, every adjacent pair
-    of nodes sits inside one fragment (equal keys) or is one walk step, so
-    the walk meets every drop; a drop under a hop that crosses a key change
-    is a hop fault, which only ``check_hop_valid`` sees.
-
-    One walk of at most ``lst.length`` steps that builds nothing.  It raises
-    ValueError naming the fault at the first drop, at a nil hop or one onto
-    another key, or when it would pass ``lst.length`` steps: a backward
-    hop, a cycle, or a stored length below the node count.
+    Like ``to_keys``, it never returns on a cyclic chain.  Its one caller
+    is the fault report of ``bench.run_verify``.
     """
-    node = lst.head
-    if node is None:
-        return 0
-    limit = lst.length
-    steps = 0
-    count = 1
-    prev_key = node.key
-    while node is not None:
-        if steps >= limit:
-            raise ValueError(
-                f"hop walk passes length {limit}: a backward hop, a cycle or a stale length"
-            )
-        key = node.key
-        target = node.hop
-        if target is None:
-            raise ValueError(f"hop at walk step {steps} is nil")
-        if target.key != key:
-            raise ValueError(f"hop at walk step {steps} jumps from key {key} to key {target.key}")
-        if key != prev_key:
-            if key < prev_key:
-                raise ValueError(f"keys decrease at hop-walk step {steps}")
-            count += 1
-            prev_key = key
-        steps += 1
-        node = target.next
-    return count
+    return len(set(to_keys(lst)))
 
 
 def check_hop_valid(lst: SortList) -> Verdict:
-    """Full hop audit over every node, not just the walk; names the first fault.
+    """Full hop audit over every node; names the first fault.
 
     A hop must stay inside the chain, point at or after its own node, and
     cover only equal keys in between.  One pass indexes the chain and its

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from hopsort import MergeEngine, bench
 from hopsort.bench import ExperimentConfig, run_experiment, run_verify
 from hopsort.datasets import DatasetKind
 
@@ -103,9 +104,21 @@ def plateau_k16():
 
 @pytest.fixture(scope="module")
 def verify_sweep():
+    # each trial's count per engine, recorded around the sweep's sorts for the
+    # manifest; run_verify itself keeps none
+    counts = {engine: [] for engine in MergeEngine}
+    sort = bench.mergesort
+
+    def recorded(lst, engine):
+        out, stats = sort(lst, engine)
+        counts[engine].append(stats.comparisons)
+        return out, stats
+
     start = time.perf_counter()
-    summary = run_verify(trials=10_000, max_n=256, max_key=16, base_seed=1)
-    return summary, time.perf_counter() - start
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bench, "mergesort", recorded)
+        summary = run_verify(trials=10_000, max_n=256, max_key=16, base_seed=1)
+    return summary, time.perf_counter() - start, counts
 
 
 @pytest.fixture(scope="module")
@@ -250,7 +263,7 @@ def test_criterion_5_plateau_and_doubling(plateau_k16, sawtooth_k1024, sawtooth_
 
 
 def test_criterion_6_randomized_property_sweep(verify_sweep):
-    summary, elapsed = verify_sweep
+    summary, elapsed, _ = verify_sweep
     problems = []
     if not summary.ok:
         trial, reason = summary.failures[0]
@@ -281,7 +294,7 @@ def test_criterion_7_dominance_audit(
                 audited += 1
                 if hop_c > base_c:
                     violations.append(f"n={n} trial={trial}: hop {hop_c} > baseline {base_c}")
-    summary, _ = verify_sweep
+    summary, _, _ = verify_sweep
     audited += summary.trials
     if summary.dominance_failures:
         violations.append(f"{summary.dominance_failures} in the randomized sweep")
@@ -319,26 +332,34 @@ def test_criterion_8_excluded_shuffled_row(shuffled_2_16):
     )
 
 
-def _count_manifest(reports):
-    """Each report's per-trial counts, keyed "fixture n engine": trial count,
-    sum, min, max and the SHA-256 of the counts joined by commas."""
+def _count_cell(counts):
+    """Trial count, sum, min, max and the SHA-256 of the counts joined by commas."""
     return {
-        f"{name} {n} {engine}": {
-            "trials": len(counts),
-            "sum": sum(counts),
-            "min": min(counts),
-            "max": max(counts),
-            "sha256": hashlib.sha256(",".join(map(str, counts)).encode()).hexdigest(),
-        }
-        for name, report in reports.items()
-        for (n, engine), counts in report.samples.items()
+        "trials": len(counts),
+        "sum": sum(counts),
+        "min": min(counts),
+        "max": max(counts),
+        "sha256": hashlib.sha256(",".join(map(str, counts)).encode()).hexdigest(),
     }
 
 
-def test_every_count_matches_the_manifest(request):
+def _count_manifest(reports, verify_counts):
+    """Each report's per-trial counts keyed "fixture n engine", and the verify
+    sweep's keyed "verify_sweep engine"."""
+    cells = {
+        f"{name} {n} {engine}": _count_cell(counts)
+        for name, report in reports.items()
+        for (n, engine), counts in report.samples.items()
+    }
+    for engine, counts in verify_counts.items():
+        cells[f"verify_sweep {engine.value}"] = _count_cell(counts)
+    return cells
+
+
+def test_every_count_matches_the_manifest(request, verify_sweep):
     # reuses the module fixtures, so it sorts nothing of its own
     reports = {name: request.getfixturevalue(name)[0] for name in RUN_EXPERIMENT_FIXTURES}
-    got = _count_manifest(reports)
+    got = _count_manifest(reports, verify_sweep[2])
     want = json.loads(COUNT_MANIFEST.read_text())
     problems = [
         f"{cell}: {got.get(cell)} != {want.get(cell)}"

@@ -1,6 +1,8 @@
 """Experiment runner, report rendering, verify sweep, and the CLI surface."""
 
+import ast
 import gc
+import importlib
 import os
 import subprocess
 import sys
@@ -384,8 +386,8 @@ def test_run_verify_reports_a_dropped_node(monkeypatch):
 
 
 def test_run_verify_reports_a_hop_across_a_key_change_without_raising(monkeypatch):
-    # the fault report skips the distinct-key count on a hop fault, since the
-    # count would raise ValueError on this output
+    # the fault report skips the distinct-key count on a hop fault, so the
+    # message names the hop audit alone
     failures = _verify_mangled(monkeypatch, _hop_across_a_key_change)
     assert sorted(failures) == [t for t, keys in enumerate(FAULT_KEYS) if len(set(keys)) > 1]
     assert set(failures.values()) == {
@@ -395,8 +397,8 @@ def test_run_verify_reports_a_hop_across_a_key_change_without_raising(monkeypatc
 
 def test_run_verify_reports_an_unsorted_output(monkeypatch):
     # fresh self-hops pass the hop audit, so in the fault report only the
-    # sortedness test keeps the distinct-key count, which would raise
-    # ValueError on descending keys, from running
+    # sortedness test keeps the distinct-key count from running on
+    # descending keys
     real = bench.mergesort
 
     def mergesort(lst, engine):
@@ -466,6 +468,33 @@ def test_run_verify_counts_no_keys_on_a_clean_sweep(monkeypatch):
     summary = run_verify(200, 64, 4, 1)
     assert summary.ok
     assert summary.passed == 200
+
+
+PERFBENCH_RUN = Path(__file__).resolve().parent.parent / "perfbench" / "run.py"
+
+
+def _bench_imports():
+    # read from the source, so the test runs without importing perfbench
+    tree = ast.parse(PERFBENCH_RUN.read_text())
+    (value,) = [
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and [getattr(t, "id", None) for t in node.targets] == ["BENCH_IMPORTS"]
+    ]
+    return ast.literal_eval(value)
+
+
+def test_every_name_the_benchmark_traces_in_bench_is_there():
+    # the traced audit swaps each bench.<name> for a wrapper and raises on a
+    # missing one; each span names the module function the name imports
+    names = _bench_imports()
+    assert names
+    for name, span in names.items():
+        module, attr = span.split(".")
+        assert module in ("listcore", "engines"), span
+        source = importlib.import_module(f"hopsort.{module}")
+        assert getattr(bench, name) is getattr(source, attr), name
 
 
 def _merge_the_last_unique_key(lst):

@@ -1,4 +1,4 @@
-"""List construction, the distinct-key walk, and the invariant checkers."""
+"""List construction, the distinct-key count, and the invariant checkers."""
 
 import random
 
@@ -83,24 +83,7 @@ def test_distinct_key_count_on_sorted_runs():
     assert distinct_key_count(from_keys([])) == 0
     assert distinct_key_count(from_keys([7])) == 1
     assert distinct_key_count(from_keys(list(range(10)))) == 10
-
-
-def test_distinct_key_count_rejects_unsorted():
-    with pytest.raises(ValueError, match="^keys decrease at hop-walk step 1$"):
-        distinct_key_count(from_keys([2, 1]))
-    # a drop past an understated stored length is not reached: the walk
-    # stops at the length
-    lst = from_keys([1, 2, 0])
-    lst.length = 1
-    with pytest.raises(ValueError, match="^hop walk passes length 1: "):
-        distinct_key_count(lst)
-    # the head's hop covers the first three nodes, so the drop at position 3
-    # is the walk's step 1
-    lst = from_keys([1, 1, 1, 0])
-    lst.head.hop = nodes_of(lst)[2]
-    with pytest.raises(ValueError) as exc:
-        distinct_key_count(lst)
-    assert str(exc.value) == "keys decrease at hop-walk step 1"
+    assert distinct_key_count(from_keys([2, 1, 2])) == 2
 
 
 def test_check_hop_valid_accepts_fresh_and_normalized_lists():
@@ -157,7 +140,7 @@ def test_check_hop_valid_flags_a_cycle():
 
 
 def test_check_hop_valid_flags_a_cycle_under_a_negative_length():
-    # the walk's bound must still end the walk when the stored length is < 0
+    # the cycle is found by node identity, so a stored length < 0 hides nothing
     lst = from_keys([4, 4])
     ns = nodes_of(lst)
     ns[1].next = ns[0]
@@ -190,67 +173,6 @@ def test_check_hop_valid_reports_the_first_bad_hop():
     assert check_hop_valid(lst) == Verdict(False, "hop-key", 1)
     ns[1].hop = ns[1]
     assert check_hop_valid(lst) == Verdict(False, "hop-backward", 3)
-
-
-def test_distinct_key_count_raises_on_a_backward_hop():
-    lst = from_keys([5, 5])
-    ns = nodes_of(lst)
-    ns[1].hop = ns[0]  # same key, wrong direction: the walk loops back
-    with pytest.raises(ValueError) as exc:
-        distinct_key_count(lst)
-    assert str(exc.value) == "hop walk passes length 2: a backward hop, a cycle or a stale length"
-
-
-def test_distinct_key_count_raises_on_a_key_crossing_hop():
-    lst = from_keys([1, 1, 2])
-    ns = nodes_of(lst)
-    ns[1].hop = ns[2]
-    with pytest.raises(ValueError) as exc:
-        distinct_key_count(lst)
-    assert str(exc.value) == "hop at walk step 1 jumps from key 1 to key 2"
-    # the first fault the walk meets is the one named: the drop from 2 to 1
-    # at step 1 comes before the hop fault at step 2
-    lst = from_keys([2, 1, 1, 3])
-    ns = nodes_of(lst)
-    ns[2].hop = ns[3]
-    with pytest.raises(ValueError) as exc:
-        distinct_key_count(lst)
-    assert str(exc.value) == "keys decrease at hop-walk step 1"
-
-
-@pytest.mark.parametrize("step", [0, 1])
-def test_distinct_key_count_raises_on_a_nil_hop(step):
-    # a disposed node carries a nil hop; the walk names the step it meets it at
-    lst = from_keys([1, 2, 3])
-    nodes_of(lst)[step].hop = None
-    with pytest.raises(ValueError) as exc:
-        distinct_key_count(lst)
-    assert str(exc.value) == f"hop at walk step {step} is nil"
-
-
-@pytest.mark.parametrize("length", [2, -1])
-def test_distinct_key_count_ends_on_a_cycle(length):
-    # the keys never decrease around the cycle, so only the bound ends the walk
-    lst = from_keys([1, 1])
-    ns = nodes_of(lst)
-    ns[1].next = ns[0]
-    lst.length = length
-    with pytest.raises(ValueError) as exc:
-        distinct_key_count(lst)
-    assert str(exc.value) == (
-        f"hop walk passes length {length}: a backward hop, a cycle or a stale length"
-    )
-
-
-def test_distinct_key_count_survives_an_understated_length():
-    # the walk is not counted through a stored length below the node count:
-    # it raises, as check_hop_valid reports the same list's length fault
-    lst = from_keys([1, 1, 2, 3])
-    lst.length = 2
-    assert check_hop_valid(lst) == Verdict(False, "length", 4)
-    with pytest.raises(ValueError) as exc:
-        distinct_key_count(lst)
-    assert str(exc.value) == "hop walk passes length 2: a backward hop, a cycle or a stale length"
 
 
 def test_check_sorted_stable_passes_a_true_stable_order():

@@ -22,7 +22,7 @@ from hopsort import (
 from hopsort.costmodel import predicted_cost
 from hopsort.datasets import gen_sawtooth
 from hopsort.engines import ComparisonCounter, merge_baseline, merge_hop
-from hopsort.listcore import Node, distinct_key_count
+from hopsort.listcore import Node
 
 key_lists = st.lists(st.integers(min_value=0, max_value=15), max_size=200)
 # a merge operand is never empty: the driver passes detached nodes and runs
@@ -71,19 +71,6 @@ def test_hop_structure_survives_the_full_audit(keys):
     # the hop driver hands back coalesced regions: one walk visit per key
     lst, _ = mergesort(from_keys(keys), MergeEngine.HOP)
     assert len(oracles.fragment_heads(lst.head)) == len(set(keys))
-
-
-@given(key_lists)
-def test_distinct_count_equals_brute_force(keys):
-    for engine in MergeEngine:
-        lst, _ = mergesort(from_keys(keys), engine)
-        assert distinct_key_count(lst) == len(set(keys))
-    # the unsorted input itself: a count only when the keys never drop
-    if keys != sorted(keys):
-        with pytest.raises(ValueError, match="keys decrease"):
-            distinct_key_count(from_keys(keys))
-    else:
-        assert distinct_key_count(from_keys(keys)) == len(set(keys))
 
 
 @given(key_lists)
@@ -202,23 +189,6 @@ def test_audits_match_the_index_oracles_on_mutated_lists(data):
     verdict = check_sorted_stable(lst, keys)
     expected = oracles.sorted_stable_audit(lst.head, keys)
     assert (verdict.ok, verdict.reason, verdict.position) == expected
-    # the count walks the oracle's hop walk, and raises exactly when that walk
-    # revisits a node, outruns the stored length, ends on a nil hop, hops onto
-    # another key or drops; only the walk's last node can carry a nil hop
-    walk = oracles.fragment_heads(lst.head)
-    walked = [node.key for node in walk]
-    faulty = bool(walk) and (
-        walk[-1].hop is None
-        or walk[-1].hop.next is not None
-        or len(walk) > lst.length
-        or any(node.hop.key != node.key for node in walk)
-        or walked != sorted(walked)
-    )
-    if faulty:
-        with pytest.raises(ValueError):
-            distinct_key_count(lst)
-    else:
-        assert distinct_key_count(lst) == len(set(walked))
 
 
 def hop_count(keys):
