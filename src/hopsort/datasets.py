@@ -13,6 +13,7 @@ from __future__ import annotations
 import enum
 import sys
 from array import array
+from itertools import cycle, islice
 from operator import mod
 
 _MASK64 = (1 << 64) - 1
@@ -135,7 +136,7 @@ def gen_sawtooth(n: int, k: int) -> list[int]:
         raise ValueError(f"n must be >= 0, got {n}")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    return [i % k for i in range(n)]
+    return list(islice(cycle(range(k)), n))
 
 
 def gen_shuffled(n: int, seed: int) -> list[int]:

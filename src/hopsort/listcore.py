@@ -42,19 +42,16 @@ class Node:
 class SortList:
     """Handle to an acyclic, nil-terminated chain of nodes.
 
+    The chain is the whole list: no size is stored beside it.
     ``mergesort`` on a cyclic chain never returns.  A sort that raises (a
-    key comparison that fails, say) leaves the chain partly relinked and
-    ``length`` stale: rebuild the list from the original keys.
+    key comparison that fails, say) leaves the chain partly relinked:
+    rebuild the list from the original keys.
     """
 
-    __slots__ = ("head", "length")
+    __slots__ = ("head",)
 
-    def __init__(self, head: Node | None = None, length: int = 0):
+    def __init__(self, head: Node | None = None):
         self.head = head
-        self.length = length
-
-    def __len__(self) -> int:
-        return self.length
 
     def nodes(self) -> Iterator[Node]:
         """Yield the chain in next-order."""
@@ -67,7 +64,7 @@ class SortList:
         preview = [node.key for _, node in zip(range(9), self.nodes())]
         tail = ", ..." if len(preview) > 8 else ""
         body = ", ".join(map(str, preview[:8]))
-        return f"SortList([{body}{tail}], length={self.length})"
+        return f"SortList([{body}{tail}])"
 
 
 @dataclass(frozen=True)
@@ -99,7 +96,6 @@ def from_keys(keys: Iterable[int]) -> SortList:
     # a throwaway node to link the first one from, so the loop needs no
     # first-node case; its slots stay unset and it is dropped on return
     before = prev = new(Node)
-    i = -1
     for i, key in enumerate(keys):
         node = new(Node)
         node.key = key
@@ -108,7 +104,7 @@ def from_keys(keys: Iterable[int]) -> SortList:
         prev.next = node
         prev = node
     prev.next = None
-    return SortList(before.next, i + 1)
+    return SortList(before.next)
 
 
 def to_keys(lst: SortList) -> list[int]:
@@ -135,7 +131,6 @@ def dispose(lst: SortList) -> None:
         node.hop = None  # breaks the cycle; the node is dead past this point
         node = nxt
     lst.head = None
-    lst.length = 0
 
 
 def distinct_key_count(lst: SortList) -> int:
@@ -152,8 +147,7 @@ def check_hop_valid(lst: SortList) -> Verdict:
 
     A hop must stay inside the chain, point at or after its own node, and
     cover only equal keys in between.  One pass indexes the chain and its
-    segments and reports a cycle, then a stored length that disagrees with
-    the reachable node count; a second reports the first node whose hop
+    segments and reports a cycle; a second reports the first node whose hop
     escapes the chain, points backward or crosses a key change.
     """
     nodes: list[Node] = []
@@ -172,8 +166,6 @@ def check_hop_valid(lst: SortList) -> Verdict:
         seg_of.append(seg)
         prev_key = node.key
         node = node.next
-    if len(nodes) != lst.length:
-        return Verdict(False, "length", len(nodes))
     for i, node in enumerate(nodes):
         j = index.get(node.hop)
         if j is None:
@@ -221,9 +213,9 @@ def _sorted_output_ok(lst: SortList, expected: Sequence[int]) -> bool:
     ``expected[i]`` (order, multiset and read-back in one test), origins
     must rise strictly inside equal keys, and, since a valid hop lands at or
     after its own node in the same segment, every hop target not yet
-    reached must be reached before the key changes.  At the end the stored
-    length must be ``len(expected)``, the chain must end, and no target may
-    be pending.  It names no fault; the three checks do that.
+    reached must be reached before the key changes.  At the end the chain
+    must end and no target may be pending.  It names no fault; the three
+    checks do that.
     """
     pending: set[Node] = set()
     prev_key = None
@@ -246,4 +238,4 @@ def _sorted_output_ok(lst: SortList, expected: Sequence[int]) -> bool:
         prev_key = key
         prev_origin = origin
         node = node.next
-    return node is None and not pending and lst.length == len(expected)
+    return node is None and not pending

@@ -205,11 +205,10 @@ def fisher_yates(values: list[int], seed: int) -> list[int]:
 Audit = tuple[bool, str | None, int | None]
 
 
-def hop_audit(head, length: int) -> Audit:
-    """(ok, reason, position) of the first fault: a ``next`` cycle, then a
-    stored length that differs from the reachable count, then the first node
-    by index whose hop leaves the chain, points backward or spans a key
-    change."""
+def hop_audit(head) -> Audit:
+    """(ok, reason, position) of the first fault: a ``next`` cycle, then the
+    first node by index whose hop leaves the chain, points backward or spans
+    a key change."""
     chain = []
     node = head
     while node is not None:
@@ -217,8 +216,6 @@ def hop_audit(head, length: int) -> Audit:
             return False, "cycle", len(chain)
         chain.append(node)
         node = node.next
-    if len(chain) != length:
-        return False, "length", len(chain)
     keys = [node.key for node in chain]
     for i, node in enumerate(chain):
         targets = [j for j, other in enumerate(chain) if other is node.hop]

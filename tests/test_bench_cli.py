@@ -376,13 +376,27 @@ def test_run_verify_reports_a_stability_fault(monkeypatch):
 
 
 def test_run_verify_reports_a_dropped_node(monkeypatch):
+    # the list stores no length, so the loss shows in the keys: a dropped key
+    # with another copy leaves the hop engine's run hopping onto the cut
+    # node; a dropped key with no other copy changes the distinct-key count
     failures = _verify_mangled(monkeypatch, _drop_last_node)
     assert sorted(failures) == [t for t, keys in enumerate(FAULT_KEYS) if keys]
+    escapes = 0
     for trial, message in failures.items():
+        keys = FAULT_KEYS[trial]
         for eng in ("baseline", "hop"):
             assert f"{eng}: output differs from reference sort" in message
             assert f"{eng}: multiset at position None" in message
-            assert f"{eng}: hop audit length at position {len(FAULT_KEYS[trial]) - 1}" in message
+        assert "length" not in message and "baseline: hop audit" not in message
+        if keys.count(max(keys)) == 1:
+            assert "hop audit" not in message
+            for eng in ("baseline", "hop"):
+                assert f"{eng}: distinct-key count mismatch" in message
+        else:
+            assert "hop: hop audit hop-escape at position" in message
+            assert "count mismatch" not in message
+            escapes += 1
+    assert (escapes, len(failures)) == (25, 29)
 
 
 def test_run_verify_reports_a_hop_across_a_key_change_without_raising(monkeypatch):
@@ -499,7 +513,7 @@ def test_every_name_the_benchmark_traces_in_bench_is_there():
 
 def _merge_the_last_unique_key(lst):
     # the last node takes its predecessor's key: the keys stay sorted, every
-    # hop stays inside its segment and the length holds, but one key is gone
+    # hop stays inside its segment and no node is lost, but one key is gone
     node = lst.head
     if node is None or node.next is None:
         return

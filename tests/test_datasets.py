@@ -58,6 +58,9 @@ def test_sawtooth_ramps():
     assert gen_sawtooth(6, 3) == [0, 1, 2, 0, 1, 2]
     assert gen_sawtooth(4, 1024) == [0, 1, 2, 3]
     assert gen_sawtooth(0, 5) == []
+    for n in (0, 1, 5, 16, 17, 4096):
+        for k in (1, 2, 3, 16, 1024, 2**40):
+            assert gen_sawtooth(n, k) == [i % k for i in range(n)], (n, k)
 
 
 def test_sawtooth_rejects_bad_arguments():
@@ -65,6 +68,8 @@ def test_sawtooth_rejects_bad_arguments():
         gen_sawtooth(4, 0)
     with pytest.raises(ValueError):
         gen_sawtooth(-1, 4)
+    with pytest.raises(ValueError, match="n must be >= 0, got -1"):
+        gen_shuffled(-1, 4)
 
 
 def test_generators_refuse_a_value_that_is_not_an_int():

@@ -5,6 +5,7 @@ reimplementation in oracles.py before this package existed, then frozen.
 """
 
 import dataclasses
+import operator
 import random
 
 import pytest
@@ -82,7 +83,7 @@ def test_merge_hop_absorbs_equal_singleton_in_one_comparison():
     # the tie leaves b's fragment unfused behind a's, so the merge's
     # counter marks b's head, and only it
     assert counter.ties == {b.head}
-    merged = type(a)(head, 3)
+    merged = SortList(head)
     assert len(oracles.fragment_heads(merged.head)) == 2
     assert check_hop_valid(merged)
 
@@ -100,7 +101,7 @@ def test_merge_hop_equal_pair_fuses_fragments():
     assert counter.invocations == 2  # oracle: head pick, then one equal pair
     # the left fragment head now hops over both fragments
     assert a2.hop is b2
-    merged = type(a)(head, 5)
+    merged = SortList(head)
     assert check_hop_valid(merged)
 
 
@@ -158,7 +159,26 @@ def test_sort_stats_is_a_frozen_value_without_an_instance_dict():
     assert repr(stats) == "SortStats(comparisons=1)"
 
 
-def test_raising_key_comparison_propagates():
+class Fuse(int):
+    """An int key whose comparisons raise TypeError while ``Fuse.lit`` is set."""
+
+    lit = False
+
+    def _guarded(op):
+        def compare(self, other):
+            if Fuse.lit:
+                raise TypeError("key comparison refused")
+            return op(int(self), other)
+
+        return compare
+
+    __eq__, __lt__, __le__, __gt__, __ge__ = map(
+        _guarded, (operator.eq, operator.lt, operator.le, operator.gt, operator.ge)
+    )
+    __hash__ = int.__hash__
+
+
+def test_raising_key_comparison_propagates(monkeypatch):
     # "a" against an int raises TypeError in the first merge that meets it
     keys = [3, 1, "a", 2, 5, 0]
     for engine in (BASELINE, HOP):
@@ -168,7 +188,18 @@ def test_raising_key_comparison_propagates():
         lst = from_keys(keys)
         with pytest.raises(TypeError):
             mergesort(lst, engine)
-        assert to_keys(lst) == [3] and lst.length == 6
+        assert repr(lst) == "SortList([3])"
+    # the same failure on a key that compares again afterwards, so the audit
+    # can sort the original keys: it reports the nodes the raise cut off
+    keys = [3, 1, Fuse(4), 2, 5, 0]
+    for engine in (BASELINE, HOP):
+        lst = from_keys(keys)
+        monkeypatch.setattr(Fuse, "lit", True)
+        with pytest.raises(TypeError, match="key comparison refused"):
+            mergesort(lst, engine)
+        monkeypatch.setattr(Fuse, "lit", False)
+        assert to_keys(lst) == [3]
+        assert check_sorted_stable(lst, keys) == Verdict(False, "multiset", None)
 
 
 def test_sort_is_stable_on_duplicates():
@@ -256,7 +287,7 @@ def test_a_mark_from_an_earlier_merge_carries_nothing_into_a_later_sort():
     merge_hop(from_keys([5]).head, marked, counter)
     assert counter.ties == {marked}
     marked.next = Node(3, 1)
-    lst, _ = mergesort(SortList(marked, 2), HOP)
+    lst, _ = mergesort(SortList(marked), HOP)
     assert [(n.key, n.origin) for n in lst.nodes()] == [(3, 1), (5, 0)]
     assert check_sorted_stable(lst, [5, 3])
     assert check_hop_valid(lst)
@@ -268,7 +299,7 @@ def test_a_lone_node_leaves_the_sort_hopping_to_itself():
     assert head.hop is not head
     head.next = None
     for engine in (BASELINE, HOP):
-        lst, stats = mergesort(SortList(head, 1), engine)
+        lst, stats = mergesort(SortList(head), engine)
         assert lst.head is head and head.hop is head
         assert check_hop_valid(lst)
         assert stats.comparisons == 0
@@ -370,7 +401,7 @@ def test_regroup_merges_a_region_by_origin_without_touching_a_key(
 def _linked(nodes):
     for node, nxt in zip(nodes, nodes[1:]):
         node.next = nxt
-    return SortList(nodes[0] if nodes else None, len(nodes))
+    return SortList(nodes[0] if nodes else None)
 
 
 @pytest.mark.parametrize("origins", ["zero", "random-few", "random-many"])

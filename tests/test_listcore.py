@@ -21,7 +21,6 @@ def nodes_of(lst):
 
 def test_from_keys_builds_chain_with_self_hops():
     lst = from_keys([5, 5, 5])
-    assert lst.length == 3
     ns = nodes_of(lst)
     assert [n.key for n in ns] == [5, 5, 5]
     assert [n.origin for n in ns] == [0, 1, 2]
@@ -50,7 +49,6 @@ def test_from_keys_nodes_equal_hand_built_nodes_slot_for_slot(shape, n):
     # constructor's would, apart from the links that chain the nodes
     lst = from_keys(BUILD_INPUTS[shape](n))
     keys = list(BUILD_INPUTS[shape](n))
-    assert lst.length == n
     ns = nodes_of(lst)
     assert len(ns) == n
     for i, (node, key) in enumerate(zip(ns, keys)):
@@ -69,7 +67,6 @@ def test_from_keys_nodes_equal_hand_built_nodes_slot_for_slot(shape, n):
 def test_from_keys_empty():
     lst = from_keys([])
     assert lst.head is None
-    assert lst.length == 0
     assert to_keys(lst) == []
 
 
@@ -124,42 +121,16 @@ def test_check_hop_valid_flags_hop_leaving_the_chain():
     assert verdict.reason == "hop-escape"
 
 
-def test_check_hop_valid_flags_length_mismatch():
-    lst = from_keys([1, 2, 3])
-    lst.length = 5
-    verdict = check_hop_valid(lst)
-    assert not verdict
-    assert verdict.reason == "length"
-
-
 def test_check_hop_valid_flags_a_cycle():
     lst = from_keys([1, 2, 3])
     ns = nodes_of(lst)
-    ns[2].next = ns[1]  # the stored length still reads 3
+    ns[2].next = ns[1]
     assert check_hop_valid(lst) == Verdict(False, "cycle", 3)
-
-
-def test_check_hop_valid_flags_a_cycle_under_a_negative_length():
-    # the cycle is found by node identity, so a stored length < 0 hides nothing
-    lst = from_keys([4, 4])
-    ns = nodes_of(lst)
-    ns[1].next = ns[0]
-    lst.length = -1
-    assert check_hop_valid(lst) == Verdict(False, "cycle", 2)
-
-
-def test_check_hop_valid_flags_a_chain_longer_than_its_length():
-    lst = from_keys([1, 2, 3])
-    lst.length = 2
-    assert check_hop_valid(lst) == Verdict(False, "length", 3)
-    lst.length = -1
-    assert check_hop_valid(lst) == Verdict(False, "length", 3)
-    assert check_hop_valid(SortList(None, 1)) == Verdict(False, "length", 0)
 
 
 def test_check_hop_valid_flags_a_disposed_node():
     lst = from_keys([7])
-    stale = SortList(lst.head, 1)
+    stale = SortList(lst.head)
     dispose(lst)  # leaves the node with hop None
     assert check_hop_valid(stale) == Verdict(False, "hop-escape", 0)
 
@@ -208,22 +179,39 @@ def test_dispose_severs_all_links():
     first = lst.head
     dispose(lst)
     assert lst.head is None
-    assert lst.length == 0
     assert first.next is None and first.hop is None
 
 
 def test_sortlist_repr_is_bounded():
-    text = repr(from_keys(list(range(100))))
-    assert "..." in text and "length=100" in text
+    assert repr(from_keys(list(range(100)))) == "SortList([0, 1, 2, 3, 4, 5, 6, 7, ...])"
+    assert repr(from_keys([3])) == "SortList([3])"
+
+
+def test_a_list_is_its_chain():
+    # no size is stored beside the chain, so none can disagree with it
+    assert SortList.__slots__ == ("head",)
+    with pytest.raises(TypeError):
+        len(from_keys([1]))
+
+
+def test_a_cut_tail_passes_the_hop_audit_but_not_the_key_checks():
+    # the last key is unique, so cutting its node leaves every hop in the
+    # chain; the lost key is found by comparing with the original keys
+    original = [2, 9, 1, 2, 5, 2]
+    for engine in ("baseline", "hop"):
+        lst, _ = mergesort(from_keys(original), engine)
+        nodes_of(lst)[-2].next = None
+        assert to_keys(lst) == [1, 2, 2, 2, 5]
+        assert check_hop_valid(lst)
+        assert check_sorted_stable(lst, original) == Verdict(False, "multiset", None)
+        assert not _sorted_output_ok(lst, sorted(original))
 
 
 def _mutate(lst, rng):
     """One random fault of an engine output, or none; returns its kind."""
     ns = nodes_of(lst)
-    kind = rng.choice(("none", "hop", "key", "origin", "length", "next"))
-    if kind == "length":
-        lst.length += rng.choice((-1, 1))
-    elif not ns:
+    kind = rng.choice(("none", "hop", "key", "origin", "next"))
+    if not ns:
         kind = "none"
     elif kind == "hop":
         # anywhere in the chain, onto the node itself, or off the chain
@@ -257,7 +245,7 @@ def test_sorted_output_ok_equals_the_three_checks_it_stands_for():
         kind = _mutate(lst, rng)
         hops = check_hop_valid(lst)
         if hops.reason == "cycle":
-            # the named checks but this one would never end on a cycle
+            # to_keys, one of the named checks, would never end on a cycle
             cycles += 1
             assert not _sorted_output_ok(lst, expected), kind
             continue

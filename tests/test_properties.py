@@ -36,7 +36,7 @@ def engine_fragments(lst):
     walk = oracles.fragment_heads(lst.head)
     out = []
     for here, after in zip(walk, walk[1:] + [None]):
-        end = position[id(after)] if after is not None else lst.length
+        end = position[id(after)] if after is not None else len(position)
         out.append((here.key, end - position[id(here)]))
     return out
 
@@ -99,7 +99,7 @@ def test_merge_baseline_matches_the_array_oracle(left, right):
     counter.invocations = PRELOAD
     head = merge_baseline(from_keys([key for key, _ in xs]).head, b.head, counter)
     expected, cost = oracles.count_merge_arrays(xs, ys)
-    merged = SortList(head, len(expected))
+    merged = SortList(head)
     assert [(node.key, node.origin) for node in merged.nodes()] == expected
     assert counter.invocations == PRELOAD + cost
 
@@ -113,7 +113,7 @@ def test_merge_hop_matches_the_fragment_oracle(left, right):
     b, _ = mergesort(from_keys(right), MergeEngine.HOP)
     counter = ComparisonCounter()
     counter.invocations = PRELOAD
-    merged = SortList(merge_hop(a.head, b.head, counter), len(left) + len(right))
+    merged = SortList(merge_hop(a.head, b.head, counter))
     expected, cost = oracles.hop_merge_frags(
         oracles.maximal_segments(sorted(left)),
         oracles.maximal_segments(sorted(right)),
@@ -152,7 +152,7 @@ def test_sorted_distinct_power_of_two_cost(m):
         assert stats.comparisons == (n // 2) * m
 
 
-MUTATIONS = ("hop", "next", "length", "key", "origin")
+MUTATIONS = ("hop", "next", "key", "origin")
 
 
 @settings(max_examples=300)
@@ -166,9 +166,6 @@ def test_audits_match_the_index_oracles_on_mutated_lists(data):
     nodes = list(lst.nodes())
     index = st.integers(min_value=0, max_value=max(len(nodes) - 1, 0))
     for kind in data.draw(st.lists(st.sampled_from(MUTATIONS), max_size=3)):
-        if kind == "length":
-            lst.length += data.draw(st.integers(min_value=-3, max_value=3))
-            continue
         if not nodes:
             continue
         node = nodes[data.draw(index)]
@@ -183,7 +180,7 @@ def test_audits_match_the_index_oracles_on_mutated_lists(data):
                 node.next = target
         else:
             setattr(node, kind, data.draw(st.integers(min_value=0, max_value=4)))
-    expected = oracles.hop_audit(lst.head, lst.length)
+    expected = oracles.hop_audit(lst.head)
     verdict = check_hop_valid(lst)
     assert (verdict.ok, verdict.reason, verdict.position) == expected
     verdict = check_sorted_stable(lst, keys)

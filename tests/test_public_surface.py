@@ -1,7 +1,10 @@
 """README matches the package: its export list, its quick start and its
-sample table."""
+sample table; and the package loads nothing outside the standard library."""
 
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import hopsort
@@ -47,3 +50,28 @@ def test_sample_bench_rows_are_what_the_command_prints(capsys):
     assert [line.split() for line in sample.splitlines()] == [
         line.split("\t") for line in printed.splitlines()
     ]
+
+
+# imports every hopsort module in a fresh interpreter and prints each
+# top-level module that this loads and the standard library does not have
+THIRD_PARTY_PROBE = """
+import importlib, pkgutil, sys
+before = set(sys.modules)
+import hopsort
+for info in pkgutil.iter_modules(hopsort.__path__):
+    importlib.import_module(f"hopsort.{info.name}")
+loaded = {name.partition(".")[0] for name in set(sys.modules) - before}
+print(sorted(loaded - set(sys.stdlib_module_names) - {"hopsort"}))
+"""
+
+
+def test_the_package_loads_only_the_standard_library():
+    src = str(Path(hopsort.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-c", THIRD_PARTY_PROBE],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert done.stdout == "[]\n", done.stdout
