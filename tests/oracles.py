@@ -11,6 +11,8 @@ verdict or to a full less/equal/greater verdict.
 
 from __future__ import annotations
 
+from hopsort.listcore import Node
+
 
 def count_merge_arrays(xs: list[int], ys: list[int]) -> tuple[list[int], int]:
     """Stable two-pointer merge; ties take from ``xs``.  Returns (merged, cost)."""
@@ -203,6 +205,13 @@ def fisher_yates(values: list[int], seed: int) -> list[int]:
 # they are quadratic and meant for short chains.
 
 Audit = tuple[bool, str | None, int | None]
+
+
+def lone_node(key, origin=0) -> Node:
+    """A node on no chain that hops to itself, its four slots set by hand."""
+    node = Node()
+    node.key, node.origin, node.next, node.hop = key, origin, None, node
+    return node
 
 
 def hop_audit(head) -> Audit:

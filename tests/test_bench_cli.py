@@ -375,6 +375,39 @@ def test_run_verify_reports_a_stability_fault(monkeypatch):
         assert "hop: stability at position" in message
 
 
+def test_run_verify_sorts_a_fresh_build_after_a_baseline_fault(monkeypatch):
+    # a baseline output that fails its audit is not relinked: the hop engine
+    # sorts a second build of the keys, and passes on it
+    real = bench.mergesort
+    built = []
+
+    def mergesort(lst, engine):
+        out, stats = real(lst, engine)
+        if engine is MergeEngine.BASELINE:
+            _swap_first_equal_pair(out)
+        return out, stats
+
+    def recording_from_keys(keys):
+        built.append(list(keys))
+        return from_keys(keys)
+
+    monkeypatch.setattr(bench, "mergesort", mergesort)
+    monkeypatch.setattr(bench, "from_keys", recording_from_keys)
+    failures = dict(run_verify(**FAULT_SWEEP).failures)
+    expected_builds = []
+    for trial, keys in enumerate(FAULT_KEYS):
+        ordered = sorted(keys)
+        equal = [i for i in range(1, len(keys)) if ordered[i] == ordered[i - 1]]
+        if equal:
+            assert failures.pop(trial) == f"baseline: stability at position {equal[0]}"
+            expected_builds += [keys, keys]
+        else:
+            expected_builds.append(keys)
+    assert failures == {}
+    assert built == expected_builds
+    assert len(built) == 59  # 29 of the 30 trials have equal keys
+
+
 def test_run_verify_reports_a_dropped_node(monkeypatch):
     # the list stores no length, so the loss shows in the keys: a dropped key
     # with another copy leaves the hop engine's run hopping onto the cut
@@ -712,25 +745,50 @@ def test_run_verify_sorts_the_scalar_drawn_inputs(monkeypatch):
 
     monkeypatch.setattr(bench, "from_keys", recording_from_keys)
     assert run_verify(50, 64, 5, 9).ok
-    expected = []
-    for keys in _drawn_keys(50, 64, 5, 9):
-        expected += [keys, keys]  # one build per engine
-    assert built == expected
+    # one build per trial: the hop engine sorts the baseline's nodes again
+    assert built == _drawn_keys(50, 64, 5, 9)
     assert any(len(keys) > 32 for keys in built)
+
+
+@pytest.mark.parametrize(
+    "dataset, k, trials", [("shuffled", None, 3), ("kdistinct", 16, 2), ("sawtooth", 16, None)]
+)
+def test_run_experiment_builds_each_input_once(monkeypatch, dataset, k, trials):
+    built = []
+
+    def counting_from_keys(keys):
+        built.append(len(keys))
+        return from_keys(keys)
+
+    monkeypatch.setattr(bench, "from_keys", counting_from_keys)
+    config = ExperimentConfig(dataset=dataset, exp_min=2, exp_max=6, k=k, trials=trials)
+    assert len(run_experiment(config).rows) == 10  # five n, two engines
+    assert built == [n for n in (4, 8, 16, 32, 64) for _ in range(trials or 1)]
 
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
+SMALL_SWEEP = ["--exp-min", "4", "--exp-max", "9", "--trials", "3"]
+
+
 @pytest.mark.parametrize(
     "golden, args",
     [
-        ("bench_shuffled_exp4-9_trials3.tsv", ["--dataset", "shuffled"]),
-        ("bench_kdistinct_k16_exp4-9_trials3.tsv", ["--dataset", "kdistinct", "--k", "16"]),
+        ("bench_shuffled_exp4-9_trials3.tsv", ["--dataset", "shuffled", *SMALL_SWEEP]),
+        (
+            "bench_kdistinct_k16_exp4-9_trials3.tsv",
+            ["--dataset", "kdistinct", "--k", "16", *SMALL_SWEEP],
+        ),
+        # seedless, so one trial per row, and rows up to n = 4096
+        (
+            "bench_sawtooth_k16_exp4-12.tsv",
+            ["--dataset", "sawtooth", "--k", "16", "--exp-min", "4", "--exp-max", "12"],
+        ),
     ],
 )
 def test_cli_bench_tables_match_the_golden_bytes(golden, args, capsys):
-    rc = cli.main(["bench", *args, "--exp-min", "4", "--exp-max", "9", "--trials", "3"])
+    rc = cli.main(["bench", *args])
     assert rc == 0
     assert capsys.readouterr().out.encode() == (GOLDEN / golden).read_bytes()
 

@@ -16,6 +16,7 @@ from hopsort import (
     SortList,
     SortStats,
     Verdict,
+    bench,
     check_hop_valid,
     check_sorted_stable,
     engines,
@@ -26,7 +27,6 @@ from hopsort import (
 )
 from hopsort.datasets import gen_kdistinct, gen_sawtooth, gen_shuffled
 from hopsort.engines import ComparisonCounter, merge_baseline, merge_hop
-from hopsort.listcore import Node
 
 BASELINE = MergeEngine.BASELINE
 HOP = MergeEngine.HOP
@@ -259,6 +259,44 @@ def test_resorting_a_sorted_list_with_coalesced_hops_is_safe():
     assert stats.comparisons > 0
 
 
+def _signature(lst):
+    """(key, origin, chain index of the hop target) of each node in chain order."""
+    nodes = list(lst.nodes())
+    index = {node: i for i, node in enumerate(nodes)}
+    return [(node.key, node.origin, index[node.hop]) for node in nodes]
+
+
+def _relink_inputs():
+    rng = random.Random(33)
+    for n in range(0, 301, 3):
+        for k in (1, 2, 3, 16, 1000):
+            drawn = [rng.randrange(k) for _ in range(n)]
+            yield drawn
+            yield [rng.randrange(k) for _ in range(n)]
+            yield sorted(drawn)
+            yield sorted(drawn, reverse=True)
+
+
+def test_a_relinked_list_sorts_exactly_like_a_fresh_build():
+    # run_experiment and run_verify sort one build twice: the nodes are
+    # chained again in input order with only ``next`` rewritten, so the
+    # second sort rests on the driver putting each node back on a self-hop
+    inputs = 0
+    for keys in _relink_inputs():
+        inputs += 1
+        nodes, fresh = {}, {}
+        for engine in (BASELINE, HOP):
+            lst = from_keys(keys)
+            nodes[engine] = list(lst.nodes())
+            lst, stats = mergesort(lst, engine)
+            fresh[engine] = (_signature(lst), stats.comparisons)
+        # each engine's output chained again, then sorted by the other engine
+        for first, second in ((BASELINE, HOP), (HOP, BASELINE)):
+            lst, stats = mergesort(bench._relinked(nodes[first]), second)
+            assert (_signature(lst), stats.comparisons) == fresh[second], (keys, first)
+    assert inputs >= 2000
+
+
 def test_counts_match_array_oracle_on_mixed_input():
     keys = gen_kdistinct(333, 7, seed=13)
     _, base_stats = sort_with_stats(keys, BASELINE)
@@ -286,7 +324,7 @@ def test_a_mark_from_an_earlier_merge_carries_nothing_into_a_later_sort():
     counter = ComparisonCounter()
     merge_hop(from_keys([5]).head, marked, counter)
     assert counter.ties == {marked}
-    marked.next = Node(3, 1)
+    marked.next = oracles.lone_node(3, 1)
     lst, _ = mergesort(SortList(marked), HOP)
     assert [(n.key, n.origin) for n in lst.nodes()] == [(3, 1), (5, 0)]
     assert check_sorted_stable(lst, [5, 3])
@@ -360,7 +398,7 @@ def test_regroup_merges_a_region_by_origin_without_touching_a_key(
     for i, runs in enumerate(fragments):
         fragment = []
         for run in runs:
-            nodes = [Node(Unordered(), origin) for origin in run]
+            nodes = [oracles.lone_node(Unordered(), origin) for origin in run]
             nodes[0].hop = nodes[-1]
             fragment += nodes
         fragment[0].hop = fragment[-1]
@@ -370,13 +408,13 @@ def test_regroup_merges_a_region_by_origin_without_touching_a_key(
     regions = [region]
     if followed_by == "region":
         # a twin of the region, origins 100 higher, with the same hops and marks
-        twin = {node: Node(Unordered(), node.origin + 100) for node in region}
+        twin = {node: oracles.lone_node(Unordered(), node.origin + 100) for node in region}
         for node in region:
             twin[node].hop = twin[node.hop]
         marked |= {twin[node] for node in marked}
         regions.append(list(twin.values()))
-    before = [] if at_head else [Node(Unordered(), -1)]
-    after = [] if followed_by == "nothing" else [Node(Unordered(), 999)]
+    before = [] if at_head else [oracles.lone_node(Unordered(), -1)]
+    after = [] if followed_by == "nothing" else [oracles.lone_node(Unordered(), 999)]
     chain = before + sum(regions, []) + after
     for node, nxt in zip(chain, chain[1:]):
         node.next = nxt
@@ -398,12 +436,6 @@ def test_regroup_merges_a_region_by_origin_without_touching_a_key(
     assert all(node.hop is node for node in before + after)
 
 
-def _linked(nodes):
-    for node, nxt in zip(nodes, nodes[1:]):
-        node.next = nxt
-    return SortList(nodes[0] if nodes else None)
-
-
 @pytest.mark.parametrize("origins", ["zero", "random-few", "random-many"])
 def test_hop_sort_keeps_every_node_when_origins_do_not_rise(monkeypatch, origins):
     # stability needs origins rising along the input within each key; without
@@ -417,8 +449,8 @@ def test_hop_sort_keeps_every_node_when_origins_do_not_rise(monkeypatch, origins
         else:
             spread = 3 if origins == "random-few" else n
             draw = [rng.randrange(spread) for _ in range(n)]
-        nodes = [Node(key, origin) for key, origin in zip(keys, draw)]
-        lst, _ = mergesort(_linked(nodes), HOP)
+        nodes = [oracles.lone_node(key, origin) for key, origin in zip(keys, draw)]
+        lst, _ = mergesort(bench._relinked(nodes), HOP)
         out = list(lst.nodes())
         assert len(out) == n and set(out) == set(nodes)
         assert [node.key for node in out] == sorted(keys)
@@ -428,11 +460,11 @@ def test_hop_sort_keeps_every_node_when_origins_do_not_rise(monkeypatch, origins
             # equal origins keep chain order, so the pass may only coalesce:
             # the nodes stay in the order the merges left them
             position = {node: i for i, node in enumerate(nodes)}
-            fresh = [Node(key) for key in keys]
+            fresh = [oracles.lone_node(key) for key in keys]
             fresh_position = {node: i for i, node in enumerate(fresh)}
             with monkeypatch.context() as patch:
                 patch.setattr(engines, "_regroup_equal_regions", lambda head, marked: head)
-                unregrouped, _ = mergesort(_linked(fresh), HOP)
+                unregrouped, _ = mergesort(bench._relinked(fresh), HOP)
             assert [position[node] for node in out] == [
                 fresh_position[node] for node in unregrouped.nodes()
             ]

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import oracles
 from hopsort import (
     Verdict,
     check_hop_valid,
@@ -45,23 +46,20 @@ BUILD_INPUTS = {
 @pytest.mark.parametrize("shape", BUILD_INPUTS)
 @pytest.mark.parametrize("n", (0, 1, 2, 3, 257, 1025))
 def test_from_keys_nodes_equal_hand_built_nodes_slot_for_slot(shape, n):
-    # from_keys skips Node.__init__; every slot it leaves must read as the
-    # constructor's would, apart from the links that chain the nodes
+    # Node has no __init__, so from_keys is the one place that fills a node:
+    # every slot must hold the key, the origin or the link the builder owes
+    assert Node.__init__ is object.__init__
     lst = from_keys(BUILD_INPUTS[shape](n))
     keys = list(BUILD_INPUTS[shape](n))
     ns = nodes_of(lst)
     assert len(ns) == n
+    # a slot added to Node but not filled here would read as unset
+    assert Node.__slots__ == ("key", "origin", "next", "hop")
     for i, (node, key) in enumerate(zip(ns, keys)):
         assert type(node) is Node
         following = ns[i + 1] if i + 1 < n else None
-        expected = Node(key, i)
-        for name in Node.__slots__:
-            if name == "hop":
-                assert node.hop is node
-            elif name == "next":
-                assert node.next is following
-            else:
-                assert getattr(node, name) == getattr(expected, name), name
+        assert node.key == key and node.origin == i
+        assert node.next is following and node.hop is node
 
 
 def test_from_keys_empty():
@@ -114,7 +112,7 @@ def test_check_hop_valid_flags_key_crossing_hop():
 
 def test_check_hop_valid_flags_hop_leaving_the_chain():
     lst = from_keys([4, 4])
-    stranger = Node(4)
+    stranger = oracles.lone_node(4)
     nodes_of(lst)[0].hop = stranger
     verdict = check_hop_valid(lst)
     assert not verdict
@@ -215,7 +213,8 @@ def _mutate(lst, rng):
         kind = "none"
     elif kind == "hop":
         # anywhere in the chain, onto the node itself, or off the chain
-        ns[rng.randrange(len(ns))].hop = rng.choice(ns + [Node(rng.randrange(5))])
+        stranger = oracles.lone_node(rng.randrange(5))
+        ns[rng.randrange(len(ns))].hop = rng.choice(ns + [stranger])
     elif kind in ("key", "origin"):
         i = rng.randrange(len(ns))
         # a neighbour half the time, so equal keys are often involved
@@ -227,7 +226,8 @@ def _mutate(lst, rng):
             a.origin, b.origin = b.origin, a.origin
     elif kind == "next":
         # back (a cycle), forward (skips nodes), cut, or off the chain
-        ns[rng.randrange(len(ns))].next = rng.choice(ns + [None, Node(rng.randrange(5))])
+        stranger = oracles.lone_node(rng.randrange(5))
+        ns[rng.randrange(len(ns))].next = rng.choice(ns + [None, stranger])
     return kind
 
 

@@ -22,7 +22,6 @@ from hopsort import (
 from hopsort.costmodel import predicted_cost
 from hopsort.datasets import gen_sawtooth
 from hopsort.engines import ComparisonCounter, merge_baseline, merge_hop
-from hopsort.listcore import Node
 
 key_lists = st.lists(st.integers(min_value=0, max_value=15), max_size=200)
 # a merge operand is never empty: the driver passes detached nodes and runs
@@ -172,7 +171,7 @@ def test_audits_match_the_index_oracles_on_mutated_lists(data):
         if kind in ("hop", "next"):
             # another chain node, a node outside the chain, or nil
             target = data.draw(
-                st.one_of(st.sampled_from(nodes), st.just(Node(node.key)), st.none())
+                st.one_of(st.sampled_from(nodes), st.just(oracles.lone_node(node.key)), st.none())
             )
             if kind == "hop":
                 node.hop = target
