@@ -71,8 +71,10 @@ class Rng64:
         Output i depends on ``state + (i+1)*gamma`` alone, so a block of up
         to ``_LANES`` outputs runs each splitmix step lane-wise on one packed
         int, masking every lane back to 64 bits before the next shift or
-        multiply.  A negative ``count`` raises ValueError.
+        multiply.  A negative ``count`` raises ValueError, and one that is
+        not an int (or is a bool) raises TypeError.
         """
+        _check_ints(TypeError, count=count)
         if count < 0:
             raise ValueError(f"count must be >= 0, got {count}")
         out: list[int] = []

@@ -21,7 +21,8 @@ class Node:
 
     ``Node()`` is a blank node: it has no ``__init__`` of its own, so the
     type call allocates it in C and leaves all four slots unset.  Whoever
-    makes a node sets all four; ``from_keys``, the one builder, does.
+    makes a node sets all four; ``from_keys``, the one builder, does.  The
+    repr shows an unset key or origin as ``?``, so it never raises.
 
     A node carries no sort state beyond its links: the hop engine's
     head-tie marks live in the ``ComparisonCounter`` of the sort that made
@@ -31,7 +32,11 @@ class Node:
     __slots__ = ("key", "origin", "next", "hop")
 
     def __repr__(self) -> str:
-        return f"Node(key={self.key!r}, origin={self.origin!r})"
+        shown = (
+            f"{name}={getattr(self, name)!r}" if hasattr(self, name) else f"{name}=?"
+            for name in ("key", "origin")
+        )
+        return f"Node({', '.join(shown)})"
 
 
 class SortList:
@@ -117,7 +122,10 @@ def dispose(lst: SortList) -> None:
     """Sever every link so dropped nodes free by reference counting.
 
     A self-hop makes each node its own reference cycle, so a dropped chain
-    otherwise sits around until the cyclic collector finds it.
+    otherwise sits around until the cyclic collector finds it.  It returns
+    on a cyclic chain too, with every node's ``next`` and ``hop`` None:
+    each step clears the ``next`` it follows, so the walk stops where the
+    cycle comes back to a node already cut.
     """
     node = lst.head
     while node is not None:

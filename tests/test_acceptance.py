@@ -41,14 +41,23 @@ SHUFFLED_ANCHOR_2_15 = 450094
 SHUFFLED_ANCHOR_2_17 = 2062483
 
 
-# every run_experiment fixture below; the manifest pins each one's counts exactly
-RUN_EXPERIMENT_FIXTURES = (
+# every sweep fixture below; the manifest pins each one's counts exactly
+COUNTED_FIXTURES = (
     "sawtooth_k1024",
     "sawtooth_k1024_tail",
     "shuffled_sweep",
     "kdistinct_sweep",
     "plateau_k16",
     "shuffled_2_16",
+    "verify_sweep",
+)
+# the sweeps whose every trial criterion 7 audits for hop <= baseline
+DOMINANCE_FIXTURES = (
+    "sawtooth_k1024",
+    "shuffled_sweep",
+    "kdistinct_sweep",
+    "plateau_k16",
+    "verify_sweep",
 )
 COUNT_MANIFEST = Path(__file__).resolve().parent / "golden" / "acceptance_counts.json"
 
@@ -62,6 +71,21 @@ def _timed(config):
     start = time.perf_counter()
     report = run_experiment(config)
     return report, time.perf_counter() - start
+
+
+def _trial_counts(request, names):
+    """The named sweep fixtures' per-trial counts, one group per set of inputs
+    both engines sorted: "fixture n" for a ``run_experiment`` row and
+    "verify_sweep" for the verify sweep, each mapping an engine name to its
+    counts in trial order."""
+    groups = {}
+    for name in names:
+        if name == "verify_sweep":
+            groups[name] = request.getfixturevalue(name)[2]
+        else:
+            for (n, engine), counts in request.getfixturevalue(name)[0].samples.items():
+                groups.setdefault(f"{name} {n}", {})[engine] = counts
+    return groups
 
 
 @pytest.fixture(scope="module")
@@ -104,14 +128,14 @@ def plateau_k16():
 
 @pytest.fixture(scope="module")
 def verify_sweep():
-    # each trial's count per engine, recorded around the sweep's sorts for the
-    # manifest; run_verify itself keeps none
-    counts = {engine: [] for engine in MergeEngine}
+    # each trial's count per engine name, recorded around the sweep's sorts for
+    # the manifest and the dominance audit; run_verify itself keeps none
+    counts = {engine.value: [] for engine in MergeEngine}
     sort = bench.mergesort
 
     def recorded(lst, engine):
         out, stats = sort(lst, engine)
-        counts[engine].append(stats.comparisons)
+        counts[engine.value].append(stats.comparisons)
         return out, stats
 
     start = time.perf_counter()
@@ -279,25 +303,16 @@ def test_criterion_6_randomized_property_sweep(verify_sweep):
     )
 
 
-def test_criterion_7_dominance_audit(
-    sawtooth_k1024, shuffled_sweep, kdistinct_sweep, plateau_k16, verify_sweep
-):
+def test_criterion_7_dominance_audit(request):
     audited = 0
     violations = []
-    for report, _ in (sawtooth_k1024, shuffled_sweep, kdistinct_sweep, plateau_k16):
-        by_key = report.samples
-        for (n, engine), counts in by_key.items():
-            if engine != "hop":
-                continue
-            base_counts = by_key[(n, "baseline")]
-            for trial, (hop_c, base_c) in enumerate(zip(counts, base_counts)):
-                audited += 1
-                if hop_c > base_c:
-                    violations.append(f"n={n} trial={trial}: hop {hop_c} > baseline {base_c}")
-    summary, _, _ = verify_sweep
-    audited += summary.trials
-    if summary.dominance_failures:
-        violations.append(f"{summary.dominance_failures} in the randomized sweep")
+    for group, counts in _trial_counts(request, DOMINANCE_FIXTURES).items():
+        for trial, (hop_c, base_c) in enumerate(
+            zip(counts["hop"], counts["baseline"], strict=True)
+        ):
+            audited += 1
+            if hop_c > base_c:
+                violations.append(f"{group} trial={trial}: hop {hop_c} > baseline {base_c}")
     _report(
         "criterion 7 (dominance audit)",
         not violations,
@@ -343,23 +358,13 @@ def _count_cell(counts):
     }
 
 
-def _count_manifest(reports, verify_counts):
-    """Each report's per-trial counts keyed "fixture n engine", and the verify
-    sweep's keyed "verify_sweep engine"."""
-    cells = {
-        f"{name} {n} {engine}": _count_cell(counts)
-        for name, report in reports.items()
-        for (n, engine), counts in report.samples.items()
-    }
-    for engine, counts in verify_counts.items():
-        cells[f"verify_sweep {engine.value}"] = _count_cell(counts)
-    return cells
-
-
-def test_every_count_matches_the_manifest(request, verify_sweep):
+def test_every_count_matches_the_manifest(request):
     # reuses the module fixtures, so it sorts nothing of its own
-    reports = {name: request.getfixturevalue(name)[0] for name in RUN_EXPERIMENT_FIXTURES}
-    got = _count_manifest(reports, verify_sweep[2])
+    got = {
+        f"{group} {engine}": _count_cell(counts)
+        for group, by_engine in _trial_counts(request, COUNTED_FIXTURES).items()
+        for engine, counts in by_engine.items()
+    }
     want = json.loads(COUNT_MANIFEST.read_text())
     problems = [
         f"{cell}: {got.get(cell)} != {want.get(cell)}"

@@ -206,7 +206,6 @@ def test_run_verify_small_sweep_passes():
     summary = run_verify(trials=200, max_n=64, max_key=8, base_seed=1)
     assert summary.ok
     assert summary.passed == 200
-    assert summary.dominance_failures == 0
 
 
 def test_run_verify_edge_shapes_pass():
@@ -580,9 +579,8 @@ def test_run_verify_counts_a_dominance_failure(monkeypatch):
     monkeypatch.setattr(bench, "mergesort", mergesort)
     summary = run_verify(**FAULT_SWEEP)
     assert summary.passed == 0
-    assert summary.dominance_failures == FAULT_SWEEP["trials"]
-    for _, message in summary.failures:
-        assert message.startswith("dominance: hop ")
+    dominance = [m for _, m in summary.failures if m.startswith("dominance: hop ")]
+    assert len(dominance) == FAULT_SWEEP["trials"]
 
 
 def test_cli_bench_prints_canonical_table(capsys):

@@ -79,6 +79,8 @@ def test_generators_refuse_a_value_that_is_not_an_int():
         "seed": (Rng64, lambda v: gen_shuffled(4, v), lambda v: gen_kdistinct(4, 2, v)),
         "n": (lambda v: gen_sawtooth(v, 2), lambda v: gen_shuffled(v, 1)),
         "k": (lambda v: gen_sawtooth(6, v), lambda v: gen_kdistinct(6, v, 1)),
+        # True would draw one output, 2.5 fail inside the lane arithmetic
+        "count": (lambda v: Rng64(1).take(v),),
     }
     for name, makes in calls.items():
         for value in (2.5, 2.0, True, "2", None):

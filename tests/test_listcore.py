@@ -180,6 +180,22 @@ def test_dispose_severs_all_links():
     assert first.next is None and first.hop is None
 
 
+def test_dispose_ends_on_a_cyclic_chain():
+    # run_verify disposes a cyclic output after naming it; a dispose that
+    # left next in place would follow the tail back to the head forever
+    lst = from_keys([1, 2, 3])
+    ns = nodes_of(lst)
+    ns[2].next = ns[0]
+    dispose(lst)
+    assert lst.head is None
+    assert all(node.next is None and node.hop is None for node in ns)
+
+
+def test_node_repr_shows_unset_slots():
+    assert repr(Node()) == "Node(key=?, origin=?)"
+    assert repr(from_keys([3]).head) == "Node(key=3, origin=0)"
+
+
 def test_sortlist_repr_is_bounded():
     assert repr(from_keys(list(range(100)))) == "SortList([0, 1, 2, 3, 4, 5, 6, 7, ...])"
     assert repr(from_keys([3])) == "SortList([3])"
