@@ -25,8 +25,6 @@ from .listcore import (
     to_keys,
 )
 
-__version__ = "0.1.0"
-
 __all__ = [
     "MergeEngine",
     "SortList",

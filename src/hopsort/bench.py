@@ -34,6 +34,7 @@ from .listcore import (
 # sweep, may cost; it bounds both the node churn and the wall time.  A larger
 # sweep runs in --seed/--trials chunks, since trial t uses seed base + t
 BUDGET = 1 << 25
+EXP_LIMIT = 30  # the largest exp_max; a longer row is past any sane in-memory run
 
 class ConfigError(ValueError):
     """Invalid or refused run configuration."""
@@ -52,20 +53,29 @@ def _gc_paused():
             gc.enable()
 
 
-def _check_seeds(base_seed: int, trials: int) -> None:
-    """Seeds base_seed .. base_seed+trials-1 must all lie in 0..2**64-1, the
-    seeds ``Rng64`` accepts, so a sweep is refused before its first sort."""
+def _check_trials(trials: int, base_seed: int) -> None:
+    """A sweep runs at least one trial, and its seeds base_seed ..
+    base_seed+trials-1 must all lie in 0..2**64-1, the seeds ``Rng64``
+    accepts, so a sweep is refused before its first sort."""
+    if trials < 1:
+        raise ConfigError(f"trials must be >= 1, got {trials}")
     last = base_seed + trials - 1
     if base_seed < 0 or last > _MASK64:
         raise ConfigError(f"seeds {base_seed}..{last} leave the range 0..2**64-1")
 
 
+def _check_budget(what: str, cost: int) -> None:
+    """Refuse a sweep, or a row of one, whose ``cost`` exceeds ``BUDGET``."""
+    if cost > BUDGET:
+        raise ConfigError(f"refusing {what} = {cost} exceeds the budget of {BUDGET}")
+
+
 # the optional fields' defaults, and per dataset the fields it ignores (refused
-# when set) with the values that make them moot: shuffled keys are all distinct,
-# and k = 2**30, the largest n, leaves each row's k at n; sawtooth is seedless
+# when set) with the values that make them moot: shuffled keys are all distinct
+# and k = 2**EXP_LIMIT, the largest n, keeps each row's k at n; sawtooth is seedless
 _DEFAULTS = {"k": 1024, "trials": 100, "base_seed": 1}
 _IGNORED = {
-    DatasetKind.SHUFFLED: {"k": 1 << 30},
+    DatasetKind.SHUFFLED: {"k": 1 << EXP_LIMIT},
     DatasetKind.SAWTOOTH: {"trials": 1, "base_seed": 1},
 }
 
@@ -98,7 +108,7 @@ class ExperimentConfig:
         _check_ints(ConfigError, exp_min=self.exp_min, exp_max=self.exp_max, **given)
         if not 0 <= self.exp_min <= self.exp_max:
             raise ConfigError(f"need 0 <= exp_min <= exp_max, got {self.exp_min}..{self.exp_max}")
-        if self.exp_max > 30:
+        if self.exp_max > EXP_LIMIT:
             raise ConfigError(f"exp_max {self.exp_max} is past any sane in-memory run")
         for name in _IGNORED.get(dataset, {}):
             if name in given:
@@ -106,15 +116,9 @@ class ExperimentConfig:
         k, trials, base_seed = self.effective()
         if k < 1:
             raise ConfigError(f"k must be >= 1, got {k}")
-        if trials < 1:
-            raise ConfigError(f"trials must be >= 1, got {trials}")
-        _check_seeds(base_seed, trials)
+        _check_trials(trials, base_seed)
         for exp in range(self.exp_min, self.exp_max + 1):
-            cost = (1 << exp) * trials
-            if cost > BUDGET:
-                raise ConfigError(
-                    f"refusing row n=2^{exp}: n*trials = {cost} exceeds the budget of {BUDGET}"
-                )
+            _check_budget(f"row n=2^{exp}: n*trials", (1 << exp) * trials)
 
     def effective(self) -> tuple[int, int, int]:
         """The ``(k, trials, base_seed)`` every row runs with (a row of n keys
@@ -289,17 +293,12 @@ def run_verify(trials: int, max_n: int, max_key: int, base_seed: int) -> VerifyS
     distinct-key count runs only on sorted keys whose hops pass the audit.
     """
     _check_ints(ConfigError, trials=trials, max_n=max_n, max_key=max_key, base_seed=base_seed)
-    if trials < 1:
-        raise ConfigError(f"trials must be >= 1, got {trials}")
-    _check_seeds(base_seed, trials)
+    _check_trials(trials, base_seed)
     if max_n < 0:
         raise ConfigError(f"max-n must be >= 0, got {max_n}")
     if max_key < 1:
         raise ConfigError(f"max-key must be >= 1, got {max_key}")
-    if trials * max_n > BUDGET:
-        raise ConfigError(
-            f"refusing verify: trials*max_n = {trials * max_n} exceeds the budget of {BUDGET}"
-        )
+    _check_budget("verify: trials*max_n", trials * max_n)
     summary = VerifySummary(trials=trials)
     with _gc_paused():
         for trial in range(trials):

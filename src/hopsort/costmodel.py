@@ -13,18 +13,17 @@ from __future__ import annotations
 
 import math
 
+from .datasets import _check_ints
+
 
 def predicted_cost(n: int, k: int) -> float:
-    """Ceiling on hop's comparisons for length ``n`` with ``k`` distinct keys.
-
-    All-distinct inputs (k == n) cost n + n*log2(n); duplicated inputs
-    (k < n) cost 2n + n*log2(k) - k.  The two branches agree at k == n.
-    """
+    """Ceiling on hop's comparisons for length ``n`` with ``k`` distinct keys:
+    2n + n*log2(k) - k, which reads n + n*log2(n) when all are distinct.  A
+    value that is not an int (or is a bool) raises TypeError."""
+    _check_ints(TypeError, n=n, k=k)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if k < 1 or k > n:
         raise ValueError(f"k must be in 1..n (n={n}), got {k}")
-    if k == n:
-        return n + n * math.log2(n)
     return 2 * n + n * math.log2(k) - k
 

@@ -291,9 +291,8 @@ def mergesort(lst: SortList, engine: MergeEngine | str) -> tuple[SortList, SortS
     """
     if type(engine) is not MergeEngine:
         engine = MergeEngine(engine)  # skipped for a member: tiny sorts pay it per call
-    hop = engine is MergeEngine.HOP
     node = lst.head
-    merge = merge_hop if hop else merge_baseline
+    merge = merge_hop if engine is MergeEngine.HOP else merge_baseline
     counter = ComparisonCounter()
     stack: list[Node] = []  # runs of 8 nodes or more, one per bit of octets
     pair: Node | None = None  # the pending 2-node run

@@ -153,23 +153,21 @@ def check_hop_valid(lst: SortList) -> Verdict:
     segments and reports a cycle; a second reports the first node whose hop
     escapes the chain, points backward or crosses a key change.
     """
-    nodes: list[Node] = []
-    index: dict[Node, int] = {}
+    index: dict[Node, int] = {}  # chain position, in chain order
     seg_of: list[int] = []
     seg = 0
     prev_key: int | None = None
     node = lst.head
     while node is not None:
         if node in index:
-            return Verdict(False, "cycle", len(nodes))
+            return Verdict(False, "cycle", len(index))
         if prev_key is not None and node.key != prev_key:
             seg += 1
-        index[node] = len(nodes)
-        nodes.append(node)
+        index[node] = len(seg_of)
         seg_of.append(seg)
         prev_key = node.key
         node = node.next
-    for i, node in enumerate(nodes):
+    for i, node in enumerate(index):
         j = index.get(node.hop)
         if j is None:
             return Verdict(False, "hop-escape", i)

@@ -654,6 +654,10 @@ def test_cli_invalid_range_exits_2(refused):
     refused()
 
 
+def test_cli_refuses_a_count_out_of_range(refused):
+    refused()
+
+
 def test_cli_bench_rejects_exponent_past_the_limit(refused):
     refused()
 

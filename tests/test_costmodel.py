@@ -44,3 +44,7 @@ def test_rejections():
         predicted_cost(8, 0)
     with pytest.raises(ValueError):
         predicted_cost(8, 9)
+    # a value that is not an int, or is a bool, is refused as the generators do
+    for n, k in ((8.5, 2), (8, 2.0), (True, True)):
+        with pytest.raises(TypeError, match=" must be an int, got "):
+            predicted_cost(n, k)

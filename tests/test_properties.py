@@ -19,8 +19,9 @@ from hopsort import (
     sort_with_stats,
     to_keys,
 )
+from hopsort import engines
 from hopsort.costmodel import predicted_cost
-from hopsort.datasets import gen_sawtooth
+from hopsort.datasets import Rng64, gen_sawtooth
 from hopsort.engines import ComparisonCounter, merge_baseline, merge_hop
 
 key_lists = st.lists(st.integers(min_value=0, max_value=15), max_size=200)
@@ -131,6 +132,46 @@ def test_hop_never_inspects_more_pairs_than_baseline(keys):
     _, base = sort_with_stats(keys, MergeEngine.BASELINE)
     _, hop = sort_with_stats(keys, MergeEngine.HOP)
     assert hop.comparisons <= base.comparisons
+
+
+DOMINANCE_KS = (1, 2, 3, 5, 16, 64, 1000)
+
+
+def test_hop_never_inspects_more_pairs_than_baseline_merge_by_merge(monkeypatch):
+    # both engines run the same carry schedule, so the i-th merge of a sort
+    # joins the same input positions under either: on the same keys, hop
+    # must inspect no more pairs than baseline on every merge, not just in sum
+    inspections = {merge_baseline: [], merge_hop: []}
+
+    def recorder(real):
+        calls = inspections[real]
+
+        def merge(a, b, counter):
+            before = counter.invocations
+            head = real(a, b, counter)
+            calls.append(counter.invocations - before)
+            return head
+
+        return merge
+
+    monkeypatch.setattr(engines, "merge_baseline", recorder(merge_baseline))
+    monkeypatch.setattr(engines, "merge_hop", recorder(merge_hop))
+    paired = 0
+    for seed in range(3003):
+        rng = Rng64(seed)
+        n = rng.next() % 301
+        k = DOMINANCE_KS[seed % len(DOMINANCE_KS)]
+        keys = [key % k for key in rng.take(n)]
+        for calls in inspections.values():
+            calls.clear()
+        for engine in MergeEngine:
+            sort_with_stats(keys, engine)
+        base, hop = inspections[merge_baseline], inspections[merge_hop]
+        assert len(base) == len(hop) == max(n - 1, 0), seed
+        worse = [i for i, (h, b) in enumerate(zip(hop, base)) if h > b]
+        assert not worse, (seed, n, k, worse[0])
+        paired += len(base)
+    assert paired == 446_402
 
 
 @given(st.lists(st.integers(min_value=0, max_value=200), max_size=150))
