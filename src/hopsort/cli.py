@@ -8,8 +8,11 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 
-from .bench import ConfigError, ExperimentConfig, render_table, run_experiment, run_verify
+from .bench import (
+    _DEFAULTS, ConfigError, ExperimentConfig, render_table, run_experiment, run_verify
+)
 from .datasets import DatasetKind
 
 
@@ -22,11 +25,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser("bench", help="run a dataset sweep of both engines and emit the table")
     bench.add_argument("--dataset", required=True, choices=[k.value for k in DatasetKind])
-    bench.add_argument("--k", type=int, help="distinct-key bound (default 1024)")
+    bench.add_argument("--k", type=int, help=f"distinct-key bound (default {_DEFAULTS['k']})")
     bench.add_argument("--exp-min", type=int, default=7, help="smallest n as a power of two")
     bench.add_argument("--exp-max", type=int, default=16, help="largest n as a power of two")
-    bench.add_argument("--trials", type=int, help="seeded trials per row (default 100)")
-    bench.add_argument("--seed", type=int, help="base seed; trial t uses seed+t (default 1)")
+    trials_help = f"seeded trials per row (default {_DEFAULTS['trials']})"
+    bench.add_argument("--trials", type=int, help=trials_help)
+    seed_help = f"base seed; trial t uses seed+t (default {_DEFAULTS['base_seed']})"
+    bench.add_argument("--seed", dest="base_seed", metavar="SEED", type=int, help=seed_help)
 
     verify = sub.add_parser("verify", help="randomized audit of both engines")
     verify.add_argument("--trials", type=int, default=1000)
@@ -38,14 +43,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    config = ExperimentConfig(
-        dataset=args.dataset,
-        exp_min=args.exp_min,
-        exp_max=args.exp_max,
-        k=args.k,
-        trials=args.trials,
-        base_seed=args.seed,
-    )
+    config = ExperimentConfig(**{f.name: getattr(args, f.name) for f in fields(ExperimentConfig)})
     sys.stdout.write(render_table(run_experiment(config).rows))
     return 0
 

@@ -602,76 +602,26 @@ def test_cli_bench_prints_identical_tables_for_identical_config(capsys):
     assert capsys.readouterr().out == first
 
 
-# every CLI refusal as (test node name, exit code, stable part of stderr, argv)
-REFUSALS = [
-    line.split("\t")
-    for line in (Path(__file__).resolve().parent / "cli_refusals.tsv").read_text().splitlines()
-    if not line.startswith("#")
-]
+def _table(name):
+    """The rows of the tab-separated table ``tests/<name>``, comments skipped."""
+    path = Path(__file__).resolve().parent / name
+    return [line.split("\t") for line in path.read_text().splitlines() if not line.startswith("#")]
 
 
-def _ids(test):
-    """The pytest ids the refusal table gives the parametrized ``test``."""
-    return [name[len(test) + 1 : -1] for name, *_ in REFUSALS if name.startswith(test + "[")]
-
-
-@pytest.fixture
-def refused(request, monkeypatch, capsys):
-    """Runs the refusal table's rows for the requesting test through cli.main:
-    each exits with its code before any sort, its message on stderr, no stdout."""
+@pytest.mark.parametrize(
+    "code, message, argv",
+    [pytest.param(*row, id=label) for label, *row in _table("cli_refusals.tsv")],
+)
+def test_cli_refusal(code, message, argv, monkeypatch, capsys):
+    # each row exits with its code before any sort, its message on stderr, no stdout
     monkeypatch.setattr(bench, "mergesort", _no_sort)
-
-    def check():
-        rows = [row[1:] for row in REFUSALS if row[0] == request.node.name]
-        assert rows, f"the refusal table has no row for {request.node.name}"
-        for code, message, argv in rows:
-            try:
-                rc = cli.main(argv.split())
-            except SystemExit as exc:  # argparse's refusals exit from parse_args
-                rc = exc.code
-            captured = capsys.readouterr()
-            assert (rc, captured.out) == (int(code), "")
-            assert message in captured.err
-
-    return check
-
-
-def test_every_refusal_row_names_a_test_here():
-    assert {row[0].partition("[")[0] for row in REFUSALS} <= set(globals())
-
-
-@pytest.mark.parametrize("case", _ids("test_cli_bench_refuses_what_the_sweep_would_ignore"))
-def test_cli_bench_refuses_what_the_sweep_would_ignore(refused, case):
-    refused()
-
-
-@pytest.mark.parametrize("case", _ids("test_cli_refuses_an_aliasing_seed_with_exit_2"))
-def test_cli_refuses_an_aliasing_seed_with_exit_2(refused, case):
-    refused()
-
-
-def test_cli_invalid_range_exits_2(refused):
-    refused()
-
-
-def test_cli_refuses_a_count_out_of_range(refused):
-    refused()
-
-
-def test_cli_bench_rejects_exponent_past_the_limit(refused):
-    refused()
-
-
-def test_cli_budget_refusal_exits_2(refused):
-    refused()
-
-
-def test_cli_verify_budget_refusal_exits_2(refused):
-    refused()
-
-
-def test_cli_unknown_dataset_is_an_argparse_error(refused):
-    refused()
+    try:
+        rc = cli.main(argv.split())
+    except SystemExit as exc:  # argparse's refusals exit from parse_args
+        rc = exc.code
+    captured = capsys.readouterr()
+    assert (rc, captured.out) == (int(code), "")
+    assert message in captured.err
 
 
 def test_cli_bench_unset_flags_take_the_config_defaults(monkeypatch):
@@ -771,27 +721,11 @@ def test_run_experiment_builds_each_input_once(monkeypatch, dataset, k, trials):
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
-SMALL_SWEEP = ["--exp-min", "4", "--exp-max", "9", "--trials", "3"]
-
-
 @pytest.mark.parametrize(
-    "golden, args",
-    [
-        ("bench_shuffled_exp4-9_trials3.tsv", ["--dataset", "shuffled", *SMALL_SWEEP]),
-        (
-            "bench_kdistinct_k16_exp4-9_trials3.tsv",
-            ["--dataset", "kdistinct", "--k", "16", *SMALL_SWEEP],
-        ),
-        # seedless, so one trial per row, and rows up to n = 4096
-        (
-            "bench_sawtooth_k16_exp4-12.tsv",
-            ["--dataset", "sawtooth", "--k", "16", "--exp-min", "4", "--exp-max", "12"],
-        ),
-    ],
+    "golden, args", [(golden, argv.split()) for golden, argv in _table("goldens.tsv")]
 )
 def test_cli_bench_tables_match_the_golden_bytes(golden, args, capsys):
-    rc = cli.main(["bench", *args])
-    assert rc == 0
+    assert cli.main(args) == 0
     assert capsys.readouterr().out.encode() == (GOLDEN / golden).read_bytes()
 
 

@@ -436,6 +436,15 @@ def test_regroup_merges_a_region_by_origin_without_touching_a_key(
     assert all(node.hop is node for node in before + after)
 
 
+def test_regroup_puts_the_earlier_fragment_first_on_an_origin_tie():
+    # fragment [a] then [b1 b2], marked at b1: a and b2 tie on origin 5, and
+    # the earlier fragment wins the tie, so equal origins keep chain order
+    a, b1, b2 = (oracles.lone_node(Unordered(), origin) for origin in (5, 1, 5))
+    a.next, b1.next, b1.hop = b1, b2, b2
+    head = engines._regroup_equal_regions(a, {b1})
+    assert list(SortList(head).nodes()) == [b1, a, b2]
+
+
 @pytest.mark.parametrize("origins", ["zero", "random-few", "random-many"])
 def test_hop_sort_keeps_every_node_when_origins_do_not_rise(monkeypatch, origins):
     # stability needs origins rising along the input within each key; without

@@ -198,6 +198,7 @@ def test_node_repr_shows_unset_slots():
 
 def test_sortlist_repr_is_bounded():
     assert repr(from_keys(list(range(100)))) == "SortList([0, 1, 2, 3, 4, 5, 6, 7, ...])"
+    assert repr(from_keys(list(range(8)))) == "SortList([0, 1, 2, 3, 4, 5, 6, 7])"
     assert repr(from_keys([3])) == "SortList([3])"
 
 
@@ -224,22 +225,24 @@ def test_a_cut_tail_passes_the_hop_audit_but_not_the_key_checks():
 def _mutate(lst, rng):
     """One random fault of an engine output, or none; returns its kind."""
     ns = nodes_of(lst)
-    kind = rng.choice(("none", "hop", "key", "origin", "next"))
+    kind = rng.choice(("none", "hop", "key", "origin", "twin", "next"))
     if not ns:
         kind = "none"
     elif kind == "hop":
         # anywhere in the chain, onto the node itself, or off the chain
         stranger = oracles.lone_node(rng.randrange(5))
         ns[rng.randrange(len(ns))].hop = rng.choice(ns + [stranger])
-    elif kind in ("key", "origin"):
+    elif kind in ("key", "origin", "twin"):
         i = rng.randrange(len(ns))
         # a neighbour half the time, so equal keys are often involved
         j = min(i + 1, len(ns) - 1) if rng.random() < 0.5 else rng.randrange(len(ns))
         a, b = ns[i], ns[j]
         if kind == "key":
             a.key, b.key = b.key, a.key
-        else:
+        elif kind == "origin":
             a.origin, b.origin = b.origin, a.origin
+        else:  # a twin origin: equal keys whose origins tie are not stable
+            b.origin = a.origin
     elif kind == "next":
         # back (a cycle), forward (skips nodes), cut, or off the chain
         stranger = oracles.lone_node(rng.randrange(5))
