@@ -32,58 +32,46 @@ def count_merge_arrays(xs: list[int], ys: list[int]) -> tuple[list[int], int]:
     return out, cost
 
 
-def baseline_sort_count(keys: list[int]) -> tuple[list[int], int]:
-    """Bottom-up mergesort over arrays with a binary stack counter.
-
-    Mirrors the driver policy under test: after pushing singleton number c+1,
-    each low 1-bit of the old count c triggers one merge with the popped
-    (older) run as the left operand; a final fold drains the stack.  The
-    package's driver holds its 2- and 4-node runs in locals instead of on
-    the stack, but makes these same merges in this order.
-    """
-    if len(keys) <= 1:
-        return list(keys), 0
-    stack: list[list[int]] = []
-    count = 0
+def carry_fold(runs, merge):
+    """Fold ``runs`` in order on the driver's binary-counter schedule: after
+    pushing run number c+1, each low 1-bit of the old count c triggers one
+    merge with the popped (older) run as the left operand; a final fold
+    drains the stack.  The package's driver holds its 2- and 4-node runs in
+    locals instead of on the stack, but makes these same merges in this
+    order.  ``merge(older, run)`` returns (merged, cost); the fold returns
+    (last run, total cost), with None for the run when ``runs`` is empty."""
+    stack = []
     total = 0
-    for x in keys:
-        run = [x]
+    for count, run in enumerate(runs):
         bits = count
         while bits & 1:
-            older = stack.pop()
-            run, cost = count_merge_arrays(older, run)
+            run, cost = merge(stack.pop(), run)
             total += cost
             bits >>= 1
         stack.append(run)
-        count += 1
-    run = stack.pop()
+    run = stack.pop() if stack else None
     while stack:
-        older = stack.pop()
-        run, cost = count_merge_arrays(older, run)
+        run, cost = merge(stack.pop(), run)
         total += cost
     return run, total
 
 
+def baseline_sort_count(keys: list[int]) -> tuple[list[int], int]:
+    """Bottom-up mergesort over arrays on the carry schedule."""
+    run, total = carry_fold([[x] for x in keys], count_merge_arrays)
+    return run or [], total
+
+
 def merge_schedule(n: int) -> list[tuple[int, int]]:
     """(left size, right size) of each merge ``baseline_sort_count`` makes
-    on n keys, in order: the binary-counter schedule on run sizes alone."""
-    stack: list[int] = []
+    on n keys, in order: the carry schedule on run sizes alone."""
     out: list[tuple[int, int]] = []
-    for count in range(n):
-        run = 1
-        bits = count
-        while bits & 1:
-            older = stack.pop()
-            out.append((older, run))
-            run += older
-            bits >>= 1
-        stack.append(run)
-    if stack:
-        run = stack.pop()
-        while stack:
-            older = stack.pop()
-            out.append((older, run))
-            run += older
+
+    def merge(older: int, run: int) -> tuple[int, int]:
+        out.append((older, run))
+        return older + run, 0
+
+    carry_fold([1] * n, merge)
     return out
 
 
@@ -98,10 +86,7 @@ Frag = tuple[int, int]
 
 
 def hop_merge_frags(a: list[Frag], b: list[Frag]) -> tuple[list[Frag], int]:
-    if not a:
-        return list(b), 0
-    if not b:
-        return list(a), 0
+    """Both sides nonempty, as the driver's merges always are."""
     out: list[Frag] = []
     i = j = 0
     cost = 1
@@ -131,37 +116,9 @@ def hop_merge_frags(a: list[Frag], b: list[Frag]) -> tuple[list[Frag], int]:
 
 
 def hop_sort_frags(keys: list[int]) -> tuple[list[Frag], int]:
-    """Same driver as ``baseline_sort_count`` but over fragment lists."""
-    if len(keys) == 0:
-        return [], 0
-    if len(keys) == 1:
-        return [(keys[0], 1)], 0
-    stack: list[list[Frag]] = []
-    count = 0
-    total = 0
-    for x in keys:
-        run: list[Frag] = [(x, 1)]
-        bits = count
-        while bits & 1:
-            older = stack.pop()
-            run, cost = hop_merge_frags(older, run)
-            total += cost
-            bits >>= 1
-        stack.append(run)
-        count += 1
-    run = stack.pop()
-    while stack:
-        older = stack.pop()
-        run, cost = hop_merge_frags(older, run)
-        total += cost
-    return run, total
-
-
-def frags_to_keys(frags: list[Frag]) -> list[int]:
-    out: list[int] = []
-    for key, length in frags:
-        out.extend([key] * length)
-    return out
+    """Same carry schedule as ``baseline_sort_count`` but over fragment lists."""
+    run, total = carry_fold([[(x, 1)] for x in keys], hop_merge_frags)
+    return run or [], total
 
 
 def maximal_segments(keys: list[int]) -> list[Frag]:

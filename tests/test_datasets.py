@@ -1,7 +1,5 @@
 """Generators: bit-exact RNG, permutations, sawtooth ramps."""
 
-from collections import Counter
-
 import pytest
 
 import oracles
@@ -27,18 +25,6 @@ def test_rng_agrees_with_independent_transcription():
     for seed in (0, 1, 2, 12345, 2**64 - 1):
         rng = Rng64(seed)
         assert [rng.next() for _ in range(8)] == oracles.splitmix64_stream(seed, 8)
-
-
-def test_rng_streams_for_different_seeds_differ_immediately():
-    a = Rng64(1)
-    b = Rng64(2)
-    assert all(a.next() != b.next() for _ in range(4))
-
-
-def test_rng_same_seed_same_stream():
-    a = [Rng64(99).next() for _ in range(5)]
-    b = [Rng64(99).next() for _ in range(5)]
-    assert a == b
 
 
 def test_rng_refuses_a_seed_outside_64_bits():
@@ -89,28 +75,6 @@ def test_generators_refuse_a_value_that_is_not_an_int():
                     make(value)
 
 
-def test_shuffled_is_a_permutation():
-    for n in (0, 1, 2, 17, 256):
-        keys = gen_shuffled(n, seed=7)
-        assert sorted(keys) == list(range(n))
-
-
-def test_shuffled_is_deterministic_per_seed():
-    assert gen_shuffled(100, 3) == gen_shuffled(100, 3)
-    assert gen_shuffled(100, 3) != gen_shuffled(100, 4)
-
-
-def test_kdistinct_keeps_the_sawtooth_multiset():
-    keys = gen_kdistinct(100, 8, seed=5)
-    assert Counter(keys) == Counter(gen_sawtooth(100, 8))
-    assert len(set(keys)) == 8
-    assert gen_kdistinct(100, 8, seed=5) == gen_kdistinct(100, 8, seed=5)
-
-
-def test_kdistinct_with_k_at_least_n_is_a_plain_shuffle():
-    assert len(set(gen_kdistinct(64, 1024, seed=1))) == 64
-
-
 def test_generate_dispatch():
     assert generate(DatasetKind.SAWTOOTH, 6, 3, 0) == [0, 1, 2, 0, 1, 2]
     # sawtooth ignores the seed, shuffled ignores k
@@ -157,7 +121,9 @@ def test_shuffled_equals_the_fisher_yates_oracle():
 
 
 def test_kdistinct_equals_the_fisher_yates_oracle():
-    for n in SHUFFLE_SIZES:
-        for seed in SHUFFLE_SEEDS:
-            ramps = [i % 16 for i in range(n)]
-            assert gen_kdistinct(n, 16, seed) == oracles.fisher_yates(ramps, seed), (n, seed)
+    # k = 1 is one key, k = 2**40 past every n a plain shuffle of 0..n-1
+    for k in (1, 16, 2**40):
+        for n in SHUFFLE_SIZES:
+            for seed in SHUFFLE_SEEDS:
+                ramps = [i % k for i in range(n)]
+                assert gen_kdistinct(n, k, seed) == oracles.fisher_yates(ramps, seed), (k, n, seed)

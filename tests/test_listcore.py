@@ -20,16 +20,6 @@ def nodes_of(lst):
     return list(lst.nodes())
 
 
-def test_from_keys_builds_chain_with_self_hops():
-    lst = from_keys([5, 5, 5])
-    ns = nodes_of(lst)
-    assert [n.key for n in ns] == [5, 5, 5]
-    assert [n.origin for n in ns] == [0, 1, 2]
-    # construction never pre-scans runs: every hop starts at the node itself
-    assert all(n.hop is n for n in ns)
-    assert ns[-1].next is None
-
-
 def scrambled(n):
     return [(i * 7919) % 1009 - 500 for i in range(n)]
 
@@ -60,17 +50,6 @@ def test_from_keys_nodes_equal_hand_built_nodes_slot_for_slot(shape, n):
         following = ns[i + 1] if i + 1 < n else None
         assert node.key == key and node.origin == i
         assert node.next is following and node.hop is node
-
-
-def test_from_keys_empty():
-    lst = from_keys([])
-    assert lst.head is None
-    assert to_keys(lst) == []
-
-
-def test_to_keys_round_trip():
-    keys = [3, 1, 4, 1, 5, 9, 2, 6]
-    assert to_keys(from_keys(keys)) == keys
 
 
 def test_distinct_key_count_on_sorted_runs():

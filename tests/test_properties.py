@@ -127,13 +127,6 @@ def test_merge_hop_matches_the_fragment_oracle(left, right):
         assert counter.ties == set()
 
 
-@given(key_lists)
-def test_hop_never_inspects_more_pairs_than_baseline(keys):
-    _, base = sort_with_stats(keys, MergeEngine.BASELINE)
-    _, hop = sort_with_stats(keys, MergeEngine.HOP)
-    assert hop.comparisons <= base.comparisons
-
-
 DOMINANCE_KS = (1, 2, 3, 5, 16, 64, 1000)
 
 
@@ -184,12 +177,14 @@ def test_engines_agree_exactly_on_distinct_inputs(keys):
     assert base.comparisons == hop.comparisons
 
 
-@given(st.integers(min_value=0, max_value=9))
-def test_sorted_distinct_power_of_two_cost(m):
-    n = 1 << m
-    for engine in MergeEngine:
-        _, stats = sort_with_stats(list(range(n)), engine)
-        assert stats.comparisons == (n // 2) * m
+def test_sorted_distinct_power_of_two_cost():
+    # sorted all-distinct input of length 2**m costs exactly (n/2)*m
+    for m in range(11):
+        n = 1 << m
+        for engine in MergeEngine:
+            out, stats = sort_with_stats(list(range(n)), engine)
+            assert out == list(range(n))
+            assert stats.comparisons == (n // 2) * m, (m, engine)
 
 
 MUTATIONS = ("hop", "next", "key", "origin")
