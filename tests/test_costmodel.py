@@ -7,21 +7,20 @@ import pytest
 from hopsort.costmodel import predicted_cost
 
 
-def test_exact_values():
-    # 2n + n*log2(k) - k, exact at powers of two; k = n reads n + n*log2(n),
-    # and with k fixed per-element work settles near 2 + log2(k)
-    points = (
-        (1, 1, 1),
-        (2, 2, 4),
-        (16, 4, 60),
-        (16, 16, 80),
-        (1024, 16, 6128),
-        (1024, 1024, 11264),
-        (4096, 4096, 53248),
-        (2**20, 1024, 12_581_888),
-    )
-    for n, k, value in points:
-        assert predicted_cost(n, k) == value, (n, k)
+def test_all_distinct_branch():
+    # k = n: n + n*log2(n), exact at powers of two
+    for n, value in ((1, 1), (2, 4), (16, 80), (1024, 11264)):
+        assert predicted_cost(n, n) == value, n
+
+
+def test_duplicated_branch():
+    assert predicted_cost(1024, 16) == 2 * 1024 + 1024 * 4 - 16
+    assert predicted_cost(16, 4) == 32 + 32 - 4
+
+
+def test_branches_agree_at_the_boundary():
+    for n in (2, 16, 1024, 4096):
+        assert predicted_cost(n, n) == 2 * n + n * math.log2(n) - n, n
 
 
 def test_doubling_identity_in_the_duplicated_regime():
@@ -30,6 +29,11 @@ def test_doubling_identity_in_the_duplicated_regime():
         assert math.isclose(
             predicted_cost(2 * n, k), 2 * predicted_cost(n, k) + k, rel_tol=1e-12
         )
+
+
+def test_plateau_prediction_per_element():
+    # with k fixed, per-element work settles near 2 + log2(k)
+    assert predicted_cost(2**20, 1024) / 2**20 == 11.9990234375
 
 
 def test_rejections():

@@ -52,6 +52,11 @@ def test_from_keys_nodes_equal_hand_built_nodes_slot_for_slot(shape, n):
         assert node.next is following and node.hop is node
 
 
+def test_to_keys_round_trip():
+    keys = [3, 1, 4, 1, 5, 9, 2, 6]
+    assert to_keys(from_keys(keys)) == keys
+
+
 def test_distinct_key_count_on_sorted_runs():
     assert distinct_key_count(from_keys([1, 1, 2, 3, 3, 3])) == 3
     assert distinct_key_count(from_keys([])) == 0

@@ -127,6 +127,13 @@ def test_merge_hop_matches_the_fragment_oracle(left, right):
         assert counter.ties == set()
 
 
+@given(key_lists)
+def test_hop_never_inspects_more_pairs_than_baseline(keys):
+    _, base = sort_with_stats(keys, MergeEngine.BASELINE)
+    _, hop = sort_with_stats(keys, MergeEngine.HOP)
+    assert hop.comparisons <= base.comparisons
+
+
 DOMINANCE_KS = (1, 2, 3, 5, 16, 64, 1000)
 
 
