@@ -30,9 +30,10 @@ from .listcore import (
     to_keys,
 )
 
-# the work limit: the most n * trials a bench row, or trials * max_n a verify
-# sweep, may cost; it bounds both the node churn and the wall time.  A larger
-# sweep runs in --seed/--trials chunks, since trial t uses seed base + t
+# the work limit: the most n * trials a bench row, or trials * max(max_n, 1) a
+# verify sweep, may cost (an empty trial counts as one key); it bounds both the
+# node churn and the wall time.  A larger sweep runs in --seed/--trials chunks,
+# since trial t uses seed base + t
 BUDGET = 1 << 25
 EXP_LIMIT = 30  # the largest exp_max; a longer row is past any sane in-memory run
 
@@ -279,8 +280,9 @@ def run_verify(trials: int, max_n: int, max_key: int, base_seed: int) -> VerifyS
     baseline Y`` problem of its trial in ``failures``.  A passing output is
     not counted: its keys equal the reference sort's, so its distinct keys
     do too.  A sweep with an argument that is not an int, or whose
-    trials * max_n exceeds the fixed ``BUDGET`` (2**25), raises ConfigError
-    before the first trial.
+    trials * max(max_n, 1) exceeds the fixed ``BUDGET`` (2**25), raises
+    ConfigError before the first trial; an empty trial still costs a draw
+    and two sorts, so it counts as one key.
 
     The hop engine sorts the nodes the baseline sorted, chained again in
     input order, when the baseline output passed its audit, and a fresh
@@ -298,7 +300,7 @@ def run_verify(trials: int, max_n: int, max_key: int, base_seed: int) -> VerifyS
         raise ConfigError(f"max-n must be >= 0, got {max_n}")
     if max_key < 1:
         raise ConfigError(f"max-key must be >= 1, got {max_key}")
-    _check_budget("verify: trials*max_n", trials * max_n)
+    _check_budget("verify: trials*max(max_n,1)", trials * max(max_n, 1))
     summary = VerifySummary(trials=trials)
     with _gc_paused():
         for trial in range(trials):

@@ -52,108 +52,12 @@ def test_from_keys_nodes_equal_hand_built_nodes_slot_for_slot(shape, n):
         assert node.next is following and node.hop is node
 
 
-def test_to_keys_round_trip():
-    keys = [3, 1, 4, 1, 5, 9, 2, 6]
-    assert to_keys(from_keys(keys)) == keys
-
-
 def test_distinct_key_count_on_sorted_runs():
     assert distinct_key_count(from_keys([1, 1, 2, 3, 3, 3])) == 3
     assert distinct_key_count(from_keys([])) == 0
     assert distinct_key_count(from_keys([7])) == 1
     assert distinct_key_count(from_keys(list(range(10)))) == 10
     assert distinct_key_count(from_keys([2, 1, 2])) == 2
-
-
-def test_check_hop_valid_accepts_fresh_and_normalized_lists():
-    assert check_hop_valid(from_keys([2, 2, 1, 9]))
-    lst = from_keys([1, 1, 2])
-    lst.head.hop = lst.head.next  # one fragment per segment, built by hand
-    assert check_hop_valid(lst)
-    assert check_hop_valid(from_keys([]))
-
-
-def test_check_hop_valid_flags_backward_hop():
-    lst = from_keys([5, 5])
-    ns = nodes_of(lst)
-    ns[1].hop = ns[0]
-    verdict = check_hop_valid(lst)
-    assert not verdict
-    assert verdict.reason == "hop-backward"
-    assert verdict.position == 1
-
-
-def test_check_hop_valid_flags_key_crossing_hop():
-    # same key at both ends, but the stretch in between changes key
-    lst = from_keys([5, 3, 5])
-    ns = nodes_of(lst)
-    ns[0].hop = ns[2]
-    verdict = check_hop_valid(lst)
-    assert not verdict
-    assert verdict.reason == "hop-key"
-    assert verdict.position == 0
-
-
-def test_check_hop_valid_flags_hop_leaving_the_chain():
-    lst = from_keys([4, 4])
-    stranger = oracles.lone_node(4)
-    nodes_of(lst)[0].hop = stranger
-    verdict = check_hop_valid(lst)
-    assert not verdict
-    assert verdict.reason == "hop-escape"
-
-
-def test_check_hop_valid_flags_a_cycle():
-    lst = from_keys([1, 2, 3])
-    ns = nodes_of(lst)
-    ns[2].next = ns[1]
-    assert check_hop_valid(lst) == Verdict(False, "cycle", 3)
-
-
-def test_check_hop_valid_flags_a_disposed_node():
-    lst = from_keys([7])
-    stale = SortList(lst.head)
-    dispose(lst)  # leaves the node with hop None
-    assert check_hop_valid(stale) == Verdict(False, "hop-escape", 0)
-
-
-def test_check_hop_valid_reports_the_first_bad_hop():
-    # a pending target in the first segment is diagnosed before later faults
-    lst = from_keys([1, 1, 2, 2])
-    ns = nodes_of(lst)
-    ns[1].hop = ns[2]
-    ns[3].hop = ns[2]
-    assert check_hop_valid(lst) == Verdict(False, "hop-key", 1)
-    ns[1].hop = ns[1]
-    assert check_hop_valid(lst) == Verdict(False, "hop-backward", 3)
-
-
-def test_check_sorted_stable_passes_a_true_stable_order():
-    lst = from_keys([1, 2, 2])
-    assert check_sorted_stable(lst, [1, 2, 2])
-
-
-def test_check_sorted_stable_flags_order_violation():
-    verdict = check_sorted_stable(from_keys([2, 1]), [2, 1])
-    assert not verdict
-    assert verdict.reason == "order"
-    assert verdict.position == 1
-
-
-def test_check_sorted_stable_flags_swapped_origins():
-    lst = from_keys([1, 1])
-    ns = nodes_of(lst)
-    ns[0].origin, ns[1].origin = 1, 0
-    verdict = check_sorted_stable(lst, [1, 1])
-    assert not verdict
-    assert verdict.reason == "stability"
-    assert verdict.position == 1
-
-
-def test_check_sorted_stable_flags_multiset_mismatch():
-    verdict = check_sorted_stable(from_keys([1, 2]), [1, 1])
-    assert not verdict
-    assert verdict.reason == "multiset"
 
 
 def test_dispose_severs_all_links():
@@ -193,17 +97,70 @@ def test_a_list_is_its_chain():
         len(from_keys([1]))
 
 
-def test_a_cut_tail_passes_the_hop_audit_but_not_the_key_checks():
-    # the last key is unique, so cutting its node leaves every hop in the
-    # chain; the lost key is found by comparing with the original keys
-    original = [2, 9, 1, 2, 5, 2]
-    for engine in ("baseline", "hop"):
-        lst, _ = mergesort(from_keys(original), engine)
-        nodes_of(lst)[-2].next = None
-        assert to_keys(lst) == [1, 2, 2, 2, 5]
-        assert check_hop_valid(lst)
-        assert check_sorted_stable(lst, original) == Verdict(False, "multiset", None)
-        assert not _sorted_output_ok(lst, sorted(original))
+def _link(slot, *pairs):
+    """A fault: for each (i, j), node i's ``slot`` points at node j."""
+    return lambda ns: [setattr(ns[i], slot, ns[j]) for i, j in pairs]
+
+
+def _set(slot, *pairs):
+    """A fault: for each (i, value), node i's ``slot`` holds ``value``."""
+    return lambda ns: [setattr(ns[i], slot, value) for i, value in pairs]
+
+
+OK = (True, None, None)
+CUT_TAIL = [2, 9, 1, 2, 5, 2]  # its last key is unique, so no hop leaves with it
+
+# one hand-built fault per row: its id, the original keys, the engine that
+# sorts them (or None), the fault made on the chain's nodes (or None), and the
+# (ok, reason, position) that check_hop_valid and check_sorted_stable owe
+FAULTS = [
+    ("fresh", [2, 2, 1, 9], None, None, OK, (False, "order", 2)),
+    ("normalized", [1, 1, 2], None, _link("hop", (0, 1)), OK, OK),
+    ("empty", [], None, None, OK, OK),
+    ("stable", [1, 2, 2], None, None, OK, OK),
+    ("backward", [5, 5], None, _link("hop", (1, 0)), (False, "hop-backward", 1), OK),
+    ("key-crossing", [5, 3, 5], None, _link("hop", (0, 2)),
+     (False, "hop-key", 0), (False, "order", 1)),
+    ("escape", [4, 4], None, _set("hop", (0, oracles.lone_node(4))), (False, "hop-escape", 0), OK),
+    ("cycle", [1, 2, 3], None, _link("next", (2, 1)), (False, "cycle", 3), (False, "order", 3)),
+    # the list keeps a second handle on the disposed chain, its hop None
+    ("disposed", [7], None, lambda ns: dispose(SortList(ns[0])), (False, "hop-escape", 0), OK),
+    # a pending target in the first segment is diagnosed before later faults
+    ("first-bad-hop", [1, 1, 2, 2], None, _link("hop", (1, 2), (3, 2)), (False, "hop-key", 1), OK),
+    ("first-bad-hop-later", [1, 1, 2, 2], None, _link("hop", (1, 1), (3, 2)),
+     (False, "hop-backward", 3), OK),
+    ("order", [2, 1], None, None, OK, (False, "order", 1)),
+    ("swapped-origins", [1, 1], None, _set("origin", (0, 1), (1, 0)), OK, (False, "stability", 1)),
+    # the list [1, 2] against the original [1, 1]
+    ("multiset", [1, 1], None, _set("key", (1, 2)), OK, (False, "multiset", None)),
+    *(
+        (f"cut-tail-{engine}", CUT_TAIL, engine, _set("next", (-2, None)),
+         OK, (False, "multiset", None))
+        for engine in ("baseline", "hop")
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "original, engine, fault, hops, stable", [pytest.param(*row, id=name) for name, *row in FAULTS]
+)
+def test_every_audit_on_a_hand_built_fault(original, engine, fault, hops, stable):
+    # each named audit names the fault as its independent oracle does, and
+    # run_verify's one-walk gate passes exactly the outputs that both audits
+    # pass and whose keys read back sorted
+    lst = from_keys(original)
+    if engine:
+        lst, _ = mergesort(lst, engine)
+    if fault:
+        fault(nodes_of(lst))
+    assert check_hop_valid(lst) == Verdict(*hops)
+    assert oracles.hop_audit(lst.head) == hops
+    assert check_sorted_stable(lst, original) == Verdict(*stable)
+    assert oracles.sorted_stable_audit(lst.head, original) == stable
+    expected = sorted(original)
+    # to_keys never ends on a cycle, so it reads only chains whose hops pass
+    want = hops[0] and stable[0] and to_keys(lst) == expected
+    assert _sorted_output_ok(lst, expected) == want
 
 
 def _mutate(lst, rng):
