@@ -104,8 +104,13 @@ def test_run_experiment_budget_refusal():
 @pytest.mark.parametrize(
     "kw",
     [
+        dict(exp_min=5, exp_max=3),
+        dict(exp_min=-1, exp_max=3),
+        dict(k=0),
+        dict(dataset=DatasetKind.KDISTINCT, trials=0),  # sawtooth refuses any trials
         dict(k=True),
         dict(exp_min=26, exp_max=26),
+        dict(exp_min=31, exp_max=31),
         dict(exp_min=4.0, exp_max=5),  # a number that is not an int is refused before any sort
         dict(exp_min=True, exp_max=3),
         dict(k=2.5),
@@ -114,8 +119,12 @@ def test_run_experiment_budget_refusal():
     ],
 )
 def test_run_experiment_rejects_bad_config(kw):
-    # sawtooth counts one trial per row, so 2^26 is refused by the fixed budget alone
-    match = "exceeds the budget of 33554432$" if kw.get("exp_max") == 26 else None
+    # sawtooth counts one trial per row, so 2^26 is refused by the fixed budget
+    # alone; the exponent cap is checked before the budget, so it is what
+    # refuses 2^31, before any 2^exp is computed
+    match = {26: "exceeds the budget of 33554432$", 31: "past any sane in-memory run"}.get(
+        kw.get("exp_max")
+    )
     with pytest.raises(ConfigError, match=match):
         run_experiment(sawtooth_config(**kw))
 
