@@ -288,11 +288,11 @@ def run_verify(trials: int, max_n: int, max_key: int, base_seed: int) -> VerifyS
     input order, when the baseline output passed its audit, and a fresh
     build of the keys otherwise.  Each output is audited in one walk
     (``listcore._sorted_output_ok``), and only an output that fails it goes
-    through the named checks
-    (``to_keys``, ``check_sorted_stable``, ``check_hop_valid``), whose
-    verdicts name the fault.  A cyclic output is reported as a hop-audit
-    cycle alone, so every trial ends and reports instead of raising; the
-    distinct-key count runs only on sorted keys whose hops pass the audit.
+    through the named checks, whose verdicts name the fault.  The hop audit
+    runs first, as the one check that ends on a cyclic chain: a cyclic
+    output is reported as a hop-audit cycle alone, so every trial ends and
+    reports.  Messages come in the order read-back, stability, hop audit,
+    count; the distinct-key count runs only on sorted keys whose hops pass.
     """
     _check_ints(ConfigError, trials=trials, max_n=max_n, max_key=max_key, base_seed=base_seed)
     _check_trials(trials, base_seed)
